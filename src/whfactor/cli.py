@@ -252,11 +252,18 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, chunks):
+    """Write the header line, then each chunk of already rendered rows."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _table_text(rows) -> str:
+    """CSV lines for a 2-D float array, every cell rendered like _fmt."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(map(line.__mod__, map(tuple, rows.tolist())))
 
 
 def _json_safe(v):
@@ -266,9 +273,10 @@ def _json_safe(v):
     return v if math.isfinite(v) else None
 
 
-def _factor_rows(phi, grid, result):
+def _factor_text(phi, grid, result):
+    """factors.csv lines for one phi, one chunk per (component, p, q) block."""
     n = result.profile.n
-    x = grid.x_nodes
+    x = grid.x_nodes.tolist()
     for name, smf in (
         ("h_minus", result.h_minus),
         ("h_plus", result.h_plus),
@@ -277,10 +285,9 @@ def _factor_rows(phi, grid, result):
         s = smf.samples
         for p in range(n):
             for q in range(n):
-                re = s[:, p, q].real
-                im = s[:, p, q].imag
-                for j in range(grid.n_points):
-                    yield (phi, x[j], name, p + 1, q + 1, re[j], im[j])
+                line = f"{_fmt(phi)},%.17g,{name},{p + 1},{q + 1},%.17g,%.17g\n"
+                col = s[:, p, q]
+                yield "".join(map(line.__mod__, zip(x, col.real.tolist(), col.imag.tolist())))
 
 
 def _phi_entry(phi, result, report, diag):
@@ -357,7 +364,6 @@ def run(config: RunConfig) -> dict:
             refine_check=config.refine_check,
             mu=config.mu,
             c_mu=config.c_mu,
-            convergence=grid.n_points <= 8192,
         )
         diag = res.diagnostics
         if diag is None:
@@ -405,14 +411,14 @@ def run(config: RunConfig) -> dict:
     diagnostics_path = os.path.join(config.output_dir, "diagnostics.json")
     written = []
     try:
-        def all_factor_rows():
+        def all_factor_text():
             for phi, res, _, _ in results:
-                yield from _factor_rows(phi, grid, res)
+                yield from _factor_text(phi, grid, res)
 
         written.append(factors_path)
-        _write_csv(factors_path, ("phi", "x", "component", "p", "q", "re", "im"), all_factor_rows())
+        _write_csv(factors_path, ("phi", "x", "component", "p", "q", "re", "im"), all_factor_text())
         written.append(remainders_path)
-        _write_csv(remainders_path, example2x2.FIGURE_COLUMNS, fig_rows)
+        _write_csv(remainders_path, example2x2.FIGURE_COLUMNS, [_table_text(fig_rows)])
         written.append(diagnostics_path)
         with open(diagnostics_path, "w", encoding="ascii", newline="\n") as fh:
             json.dump(diagnostics, fh, indent=2, sort_keys=True)
@@ -488,7 +494,7 @@ def _cmd_figures(args) -> int:
     header, rows = example2x2.figure_data(args.variant, phis, grid)
     os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, "remainders.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, [_table_text(rows)])
     print(f"wrote {path}")
     return 0
 

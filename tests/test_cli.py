@@ -1,5 +1,6 @@
 """Config parsing, run outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -247,3 +248,58 @@ def test_main_alphas_subcommand(capsys):
     out = capsys.readouterr().out
     assert "1/2" in out and "5/128" in out
     assert main(["alphas", "--max", "0"]) == 2
+
+
+def _custom3_m0_spec():
+    # 3 x 3 entries a e^(i w x) / (x -+ i b): small, decaying, oscillatory
+    rows = []
+    for p in range(3):
+        row = []
+        for q in range(3):
+            k = 3 * p + q
+            b = 0.8 + 0.15 * k
+            pole = b if k % 2 == 0 else -b
+            amp = 0.03 if p == q else 0.018
+            angle = 2 * np.pi * k / 9
+            row.append([{"num": [[amp * np.cos(angle), amp * np.sin(angle)]],
+                         "den": [[0.0, pole], [1.0, 0.0]], "phase": -1.0 + 0.25 * k}])
+        rows.append(row)
+    return {"entries": rows}
+
+
+_GOLDEN_CONFIGS = {
+    "custom3": {
+        "problem": "custom",
+        "custom": {"indices": [2, 2, 1], "lambda_s": 1, "m0_spec": _custom3_m0_spec()},
+        "strategy": "minimize-remainder-infinity", "order": 3, "grid_points": 256,
+    },
+    "example": {"problem": "example", "variant": 1, "phi_list": [0.2], "order": 2,
+                "grid_points": 256},
+}
+
+# sha256 of each output file, recorded before the Hoelder scan and the CSV
+# writer were rewritten; any change to the bytes of a run shows here.
+_GOLDEN_DIGESTS = {
+    "custom3": {
+        "factors.csv": "fb5b17495102715ad1b9658f1e2dfc88197d30dd45aafd74328b8f8d3fe07ac5",
+        "remainders.csv": "323a9116ee6e2b98e48988f88e4640a156faf3d383286f0ed7803966b5ab54ff",
+        "diagnostics.json": "5c4291f2997cec0e127d2a4e90a3cdf329cefb59057ce33dcbf26625aa6882cf",
+    },
+    "example": {
+        "factors.csv": "11ffcc8fc5284f6187c30ca20172cf47cfb1566ad2946ec0d1dd2ae4bf711ca1",
+        "remainders.csv": "d96dbc33eb5a5e63fc1ba218b3e30b02aa08612c4854bedb81b8be1e4e41f072",
+        "diagnostics.json": "436cacea94171f64bce20b8d542b7b424b7fc0556073b1d7f5a9d6ae5a4289a3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
+def test_run_outputs_match_golden_digests(tmp_path, name):
+    cfg = parse_config(json.dumps(_GOLDEN_CONFIGS[name]))
+    cfg.output_dir = str(tmp_path / name)
+    run(cfg)
+    got = {
+        f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+        for f in ("factors.csv", "remainders.csv", "diagnostics.json")
+    }
+    assert got == _GOLDEN_DIGESTS[name]

@@ -141,3 +141,45 @@ def test_hoelder_seminorm_grows_with_mu():
     assert 0 < lo < hi
     est = hoelder_norm(f, 0.5)
     assert est.total >= est.sup_part
+
+
+def _pair_scan_seminorm(f, mu_values, rows=64):
+    """Brute-force reference: every node pair, by the Hoelder-norm formula."""
+    s, w, n = f.samples, f.grid.w_nodes, f.grid.n_points
+    best = dict.fromkeys(mu_values, 0.0)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        diff = matrix_norm(s[a:b, None] - s[None, a:])  # pairs (j, k >= j) only
+        dist = np.abs(w[a:b, None] - w[None, a:]) / 2
+        np.fill_diagonal(dist, 1.0)
+        for mu in mu_values:
+            best[mu] = max(best[mu], float((diff / dist**mu).max()))
+    return best
+
+
+def _hoelder_inputs(grid, n):
+    rng = np.random.default_rng(1000 * grid.n_points + n)
+    x = grid.x_nodes[:, None, None]
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    phi = rng.uniform(0.2, 3.0, size=(n, n))
+    yield "constant", np.broadcast_to(a, (grid.n_points, n, n))
+    yield "smooth", a / (x + 1j)
+    yield "oscillatory", np.exp(1j * phi * x) / (x + 1j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_points", [64, 100, 257, 1000, 2048])
+def test_hoelder_norm_equals_pair_scan(n_points, n):
+    g = MobiusGrid.build(n_points)
+    mus = (0.1, 0.5, 0.9, 1.0)
+    for kind, samples in _hoelder_inputs(g, n):
+        f = SampledMatrixFunction(g, samples)
+        ref = _pair_scan_seminorm(f, mus)
+        for mu in mus:
+            assert hoelder_norm(f, mu).seminorm_part == ref[mu], (kind, mu)
+
+
+def test_c_mu_lower_bound_is_pinned():
+    from whfactor.engine import c_mu_lower_bound
+
+    assert c_mu_lower_bound(MobiusGrid.build(1024), 0.5) == 1.2091843126627935
