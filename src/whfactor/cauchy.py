@@ -34,6 +34,31 @@ def _signed_modes(n: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
 
+def _along_nodes(v: np.ndarray, ndim: int) -> np.ndarray:
+    """Reshape a per-mode vector to broadcast against (N, ...) samples."""
+    return v.reshape((len(v),) + (1,) * (ndim - 1))
+
+
+def _twist(raw: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """True circle modes c_p from the DFT bins: raw / N times exp(-i p pi / N)."""
+    n = raw.shape[0]
+    return raw / n * _along_nodes(np.exp(-1j * np.pi * p / n), raw.ndim)
+
+
+def _split(raw: np.ndarray, p: np.ndarray):
+    """(plus, minus, c0) from the DFT bins; raw is reused for the minus half."""
+    n = raw.shape[0]
+    c0 = raw[0] / n
+    plus = np.fft.ifft(np.where(_along_nodes(p > 0, raw.ndim), raw, 0), axis=0)
+    raw[p >= 0] = 0
+    return plus, np.fft.ifft(raw, axis=0), c0
+
+
+def _coefficient_sums(c: np.ndarray, p: np.ndarray):
+    """(sum_{p>0} c_p, sum_p c_p): the plus part and the density at x = infinity."""
+    return c[p > 0].sum(axis=0), c.sum(axis=0)
+
+
 def mode_split(samples: np.ndarray):
     """Split node samples into (plus, minus, c0).
 
@@ -43,33 +68,19 @@ def mode_split(samples: np.ndarray):
     node-space projections, so only masking is needed.
     """
     samples = np.asarray(samples, dtype=complex)
-    n = samples.shape[0]
-    raw = np.fft.fft(samples, axis=0)
-    p = _signed_modes(n)
-    hi = raw.copy()
-    hi[p <= 0] = 0
-    lo = raw.copy()
-    lo[p >= 0] = 0
-    plus = np.fft.ifft(hi, axis=0)
-    minus = np.fft.ifft(lo, axis=0)
-    c0 = raw[0] / n
-    return plus, minus, c0
+    return _split(np.fft.fft(samples, axis=0), _signed_modes(samples.shape[0]))
 
 
 def _circle_coefficients(samples: np.ndarray):
     """True circle modes c_p (phase twist applied) and their indices p."""
     samples = np.asarray(samples, dtype=complex)
-    n = samples.shape[0]
-    p = _signed_modes(n)
-    shape = (n,) + (1,) * (samples.ndim - 1)
-    c = np.fft.fft(samples, axis=0) / n * np.exp(-1j * np.pi * p / n).reshape(shape)
-    return c, p
+    p = _signed_modes(samples.shape[0])
+    return _twist(np.fft.fft(samples, axis=0), p), p
 
 
 def plus_coefficient_sum(samples: np.ndarray) -> np.ndarray:
     """sum_{p>0} c_p, the value at infinity of the upper boundary function."""
-    c, p = _circle_coefficients(samples)
-    return c[p > 0].sum(axis=0)
+    return _coefficient_sums(*_circle_coefficients(samples))[0]
 
 
 def zeroth_mode(samples: np.ndarray) -> np.ndarray:
@@ -79,8 +90,47 @@ def zeroth_mode(samples: np.ndarray) -> np.ndarray:
 
 def limit_estimate(samples: np.ndarray) -> np.ndarray:
     """Trigonometric estimate of the density's limit at x = infinity (theta = 0)."""
-    c, _ = _circle_coefficients(samples)
-    return c.sum(axis=0)
+    return _coefficient_sums(*_circle_coefficients(samples))[1]
+
+
+@dataclass(eq=False)
+class StepModes:
+    """What one solver step needs from its density, all from one forward FFT.
+
+    plus, minus and c0 are mode_split's; plus_sum is plus_coefficient_sum's
+    and limit is limit_estimate's, bit for bit.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+    c0: np.ndarray
+    plus_sum: np.ndarray
+    limit: np.ndarray
+
+
+def step_modes(samples: np.ndarray) -> StepModes:
+    """Transform the samples once and derive the split and both mode sums."""
+    samples = np.asarray(samples, dtype=complex)
+    p = _signed_modes(samples.shape[0])
+    raw = np.fft.fft(samples, axis=0)
+    plus_sum, limit = _coefficient_sums(_twist(raw, p), p)
+    plus, minus, c0 = _split(raw, p)
+    return StepModes(plus, minus, c0, plus_sum, limit)
+
+
+def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
+    """Limit of m at x = infinity: exact from its closed form when that has one.
+
+    Otherwise (no closed form, or one that oscillates or grows) the
+    trigonometric estimate sum_p c_p, which the caller has already computed.
+    """
+    cf = m.closed_form
+    if cf is not None and hasattr(cf, "limit_at_infinity"):
+        try:
+            return np.asarray(cf.limit_at_infinity(), dtype=complex)
+        except ValueError:
+            pass
+    return np.asarray(estimate, dtype=complex)
 
 
 def boundary_pair(m: SampledMatrixFunction):
@@ -127,25 +177,29 @@ def cauchy_off_line(m: SampledMatrixFunction, z: complex) -> np.ndarray:
     return np.tensordot(weights, m.samples, axes=(0, 0)) / m.grid.n_points
 
 
-def resample(m: SampledMatrixFunction, factor: int) -> SampledMatrixFunction:
+def resample(m: SampledMatrixFunction, factor: int,
+             fine: Optional[MobiusGrid] = None) -> SampledMatrixFunction:
     """Carry samples to a factor-times finer midpoint grid.
 
     Uses the exact closed form when the function has one; otherwise
     trigonometric interpolation by zero-padding the circle modes (midpoint
-    phase twists applied on both grids).
+    phase twists applied on both grids). A caller resampling several
+    functions passes the finer grid as `fine` so that it is built once.
     """
     factor = int(factor)
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return m
-    fine = MobiusGrid.build(m.grid.n_points * factor)
+    if fine is None:
+        fine = MobiusGrid.build(m.grid.n_points * factor)
+    elif fine.n_points != m.grid.n_points * factor:
+        raise ValueError(f"fine grid must have {m.grid.n_points * factor} nodes")
     if m.closed_form is not None:
         return _sample(m.closed_form, fine)
     c, p = _circle_coefficients(m.samples)
     big = np.zeros((fine.n_points,) + m.samples.shape[1:], dtype=complex)
-    shape = (len(p),) + (1,) * (m.samples.ndim - 1)
-    big[p % fine.n_points] = c * np.exp(1j * np.pi * p / fine.n_points).reshape(shape)
+    big[p % fine.n_points] = c * _along_nodes(np.exp(1j * np.pi * p / fine.n_points), c.ndim)
     vals = np.fft.ifft(big * fine.n_points, axis=0)
     return SampledMatrixFunction(fine, vals)
 
@@ -179,19 +233,11 @@ class HalfPlaneFunction:
         return val
 
     def value_at_infinity(self) -> np.ndarray:
-        ps = plus_coefficient_sum(self.density.samples)
+        plus_sum, estimate = _coefficient_sums(*_circle_coefficients(self.density.samples))
         if self.half_plane == "upper":
-            base = ps
+            base = plus_sum
         else:
-            lim = None
-            if self.density.closed_form is not None:
-                try:
-                    lim = self.density.closed_form.limit_at_infinity()
-                except (AttributeError, ValueError):
-                    lim = None
-            if lim is None:
-                lim = limit_estimate(self.density.samples)
-            base = ps - lim
+            base = plus_sum - limit_or_estimate(self.density, estimate)
         return self.sign * base + self.constant_shift
 
 

@@ -28,6 +28,8 @@ import numpy as np
 
 from . import cauchy, example2x2, rbvp
 from .engine import (
+    _BUILTIN_STRATEGIES,
+    ExplicitConstants,
     NumericalError,
     alpha_coefficients,
     build_lambda0,
@@ -44,7 +46,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-_STRATEGIES = ("canonical-zero", "explicit", "minimize-remainder-infinity")
+_STRATEGIES = tuple(sorted([*_BUILTIN_STRATEGIES, ExplicitConstants.name]))
 
 _KNOWN_KEYS = {
     "problem",

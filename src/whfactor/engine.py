@@ -35,7 +35,7 @@ from .grid import (
     sample,
     sup_norm,
 )
-from .rbvp import PartialIndexProfile, solve_step, split_indices
+from .rbvp import PartialIndexProfile, detect_kappas, solve_step, split_indices
 
 
 class NumericalError(RuntimeError):
@@ -313,10 +313,8 @@ class FactorizationResult:
             raise ValueError("refine must be >= 1")
         hm, hp, l0, m0 = self.h_minus, self.h_plus, self.lambda0, self.m0
         if refine > 1:
-            hm = cauchy.resample(hm, refine)
-            hp = cauchy.resample(hp, refine)
-            l0 = cauchy.resample(l0, refine)
-            m0 = cauchy.resample(m0, refine)
+            fine = MobiusGrid.build(self.grid.n_points * refine)
+            hm, hp, l0, m0 = (cauchy.resample(f, refine, fine) for f in (hm, hp, l0, m0))
         diff = (hm @ l0 @ hp) - (l0 + m0)
         return sup_norm(diff)
 
@@ -354,34 +352,34 @@ def run_factorization(
     if lambda0.dims != (n, n) or lambda0.grid.n_points != grid.n_points:
         raise ValueError("lambda0 must match m0's grid and dimensions")
 
+    kappas = detect_kappas(lambda0)
+    if not np.array_equal(kappas, profile.shifted_kappas()):
+        raise ValueError(
+            f"lambda0 has diagonal exponents {tuple(kappas)}, "
+            f"the profile needs {tuple(profile.shifted_kappas())}"
+        )
+
     state = StepState(0, [], [], [m0], [])
     records = []
     current = m0
-    limit = None
-    if current.closed_form is not None and hasattr(current.closed_form, "limit_at_infinity"):
-        try:
-            limit = current.closed_form.limit_at_infinity()
-        except ValueError:
-            limit = None
-    if limit is None:
-        limit = cauchy.limit_estimate(current.samples)
-    limit = np.asarray(limit, dtype=complex)
-
     for r in range(1, order + 1):
         sup_m = sup_norm(current)
         if not np.isfinite(sup_m):
             raise NumericalError(f"remainder at step {r} contains non-finite values")
         if sup_m < atol:
             break
-        plus_sum = cauchy.plus_coefficient_sum(current.samples)
-        block = np.asarray(strat.free_block(r, current, profile, plus_sum), dtype=complex)
+        modes = cauchy.step_modes(current.samples)  # the step's only forward FFT
+        block = np.asarray(strat.free_block(r, current, profile, modes.plus_sum), dtype=complex)
         if block.shape != (n - k, n):
             raise ValueError(
                 f"strategy returned a free block of shape {block.shape}, expected {(n - k, n)}"
             )
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"strategy returned non-finite constants at step {r}")
-        sol = solve_step(lambda0, current, block)
+        sol = solve_step(lambda0, current, block, modes, kappas)
+        del modes  # the split halves are dead once the step is solved
+        if r == 1:  # M0's own limit; later ones follow the convolution below
+            limit = sol.limit
         if not (np.all(np.isfinite(sol.n_plus.samples)) and np.all(np.isfinite(sol.n_minus.samples))):
             raise NumericalError(f"step {r} produced non-finite factor terms")
         c_total = sol.constant_used - sol.plus_sum
@@ -415,7 +413,6 @@ def run_factorization(
     order_reached = len(records)
 
     eye = np.tile(np.eye(n, dtype=complex), (grid.n_points, 1, 1))
-    kappas = profile.shifted_kappas()
     colfac = np.conj(grid.w_nodes)[:, None] ** kappas[None, :]
     hm_samples = eye.copy()
     hp_samples = eye.copy()

@@ -9,6 +9,7 @@ callables mapping an array of points (real or complex) to stacked matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,6 +78,10 @@ def _merge_terms(terms: Sequence[Term]) -> tuple:
     return tuple(merged)
 
 
+def _poly_key(coeffs: tuple) -> bytes:
+    return np.asarray(coeffs, dtype=complex).tobytes()
+
+
 class ClosedForm:
     """Matrix of term sums, evaluable at arbitrary points.
 
@@ -143,13 +148,26 @@ class ClosedForm:
         zz = np.atleast_1d(z).astype(complex)
         n, m = self.shape
         out = np.zeros(zz.shape + (n, m), dtype=complex)
-        phases = {t.phase for row in self.entries for cell in row for t in cell}
+        terms = [t for row in self.entries for cell in row for t in cell]
+        phases = {t.phase for t in terms}
         exps = {a: (np.exp(1j * a * zz) if a != 0.0 else None) for a in phases}
+        # each distinct polynomial is evaluated once and dropped after its last
+        # use; keyed by bytes so that 0.0 and -0.0 coefficients stay apart
+        uses = Counter(_poly_key(c) for t in terms for c in (t.num, t.den))
+        polys = {}
+
+        def polyval(coeffs):
+            key = _poly_key(coeffs)
+            if key not in polys:
+                polys[key] = npoly.polyval(zz, coeffs)
+            uses[key] -= 1
+            return polys[key] if uses[key] else polys.pop(key)
+
         for i in range(n):
             for j in range(m):
                 acc = np.zeros_like(zz)
                 for t in self.entries[i][j]:
-                    val = npoly.polyval(zz, t.num) / npoly.polyval(zz, t.den)
+                    val = polyval(t.num) / polyval(t.den)
                     e = exps[t.phase]
                     acc += val * e if e is not None else val
                 out[..., i, j] = acc

@@ -132,9 +132,22 @@ def sample(closed_form: Callable, grid: MobiusGrid) -> SampledMatrixFunction:
 
 
 def matrix_norm(a: np.ndarray) -> np.ndarray:
-    """Max absolute row sum, over the trailing two axes."""
-    a = np.asarray(a)
-    return np.abs(a).sum(axis=-1).max(axis=-1)
+    """Max absolute row sum, over the trailing two axes.
+
+    Equal bit for bit to np.abs(a).sum(axis=-1).max(axis=-1), without its
+    reductions over tiny axes: numpy adds fewer than 8 terms left to right,
+    as the column loop does, and maxima are exact in any order.
+    """
+    a = np.abs(np.asarray(a))
+    if a.shape[-1] >= 8:  # numpy sums longer rows pairwise
+        return a.sum(axis=-1).max(axis=-1)
+    rows = a[..., 0]  # row sums build up in place: a is this function's own array
+    for j in range(1, a.shape[-1]):
+        rows += a[..., j]
+    out = rows[..., 0].copy()
+    for i in range(1, rows.shape[-1]):
+        np.maximum(out, rows[..., i], out=out)
+    return out[()]  # a scalar, not a 0-d array, for a single matrix
 
 
 def sup_norm(f: SampledMatrixFunction) -> float:

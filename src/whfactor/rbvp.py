@@ -133,7 +133,8 @@ class StepSolution:
     limit: np.ndarray
 
 
-def _detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
+def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
+    """Exponents of a diagonal Lambda0+ whose entries are each 1 or (x-i)/(x+i)."""
     s = lambda0_plus.samples
     n = s.shape[1]
     off = s.copy()
@@ -162,14 +163,19 @@ def solve_step(
     lambda0_plus: SampledMatrixFunction,
     m: SampledMatrixFunction,
     free_rows_constant,
+    modes: Optional[cauchy.StepModes] = None,
+    kappas: Optional[np.ndarray] = None,
 ) -> StepSolution:
     """Solve Lambda0+ N+ + N- = M row by row.
 
     Rows with exponent 1 use the forced (zero) constant; rows with exponent 0
     take the supplied free constants, one row of the block per index-0 row.
     The boundary identity holds at the nodes to rounding by construction.
+    A driver that already holds cauchy.step_modes(m.samples) and the checked
+    exponents of Lambda0+ passes them in as `modes` and `kappas`.
     """
-    kappas = _detect_kappas(lambda0_plus)
+    if kappas is None:
+        kappas = detect_kappas(lambda0_plus)
     n = m.dims[0]
     if lambda0_plus.dims != m.dims:
         raise ValueError("Lambda0+ and M dimensions disagree")
@@ -181,11 +187,12 @@ def solve_step(
     e = np.zeros((n, n), dtype=complex)
     e[k:] = free
 
-    plus, minus, c0 = cauchy.mode_split(m.samples)
-    n_plus = plus - e
+    if modes is None:
+        modes = cauchy.step_modes(m.samples)
+    n_plus = modes.plus - e
     if k:
         n_plus[:, :k, :] *= np.conj(m.grid.w_nodes)[:, None, None]
-    n_minus = minus + c0 + e
+    n_minus = modes.minus + modes.c0 + e
 
     row_powers = kappas.copy()
     hp_plus = cauchy.HalfPlaneFunction(
@@ -194,14 +201,6 @@ def solve_step(
     hp_minus = cauchy.HalfPlaneFunction(
         "lower", SampledMatrixFunction(m.grid, n_minus), m, e, sign=-1
     )
-    lim = None
-    if m.closed_form is not None and hasattr(m.closed_form, "limit_at_infinity"):
-        try:
-            lim = m.closed_form.limit_at_infinity()
-        except ValueError:
-            lim = None
-    if lim is None:
-        lim = cauchy.limit_estimate(m.samples)
     return StepSolution(
         n_plus=SampledMatrixFunction(m.grid, n_plus),
         n_minus=SampledMatrixFunction(m.grid, n_minus),
@@ -209,7 +208,7 @@ def solve_step(
         kappas=kappas,
         hp_plus=hp_plus,
         hp_minus=hp_minus,
-        c0=np.asarray(c0),
-        plus_sum=np.asarray(cauchy.plus_coefficient_sum(m.samples)),
-        limit=np.asarray(lim),
+        c0=np.asarray(modes.c0),
+        plus_sum=np.asarray(modes.plus_sum),
+        limit=cauchy.limit_or_estimate(m, modes.limit),
     )

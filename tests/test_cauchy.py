@@ -174,3 +174,31 @@ def test_reference_densities_bank():
         assert vals.shape == x.shape
         assert np.all(np.isfinite(vals))
     assert len(names) == 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_points", [256, 257])
+def test_step_modes_equal_separate_transforms(n_points, n):
+    # one shared transform gives exactly what the three separate ones give
+    rng = np.random.default_rng(100 * n + n_points)
+    samples = rng.standard_normal((n_points, n, n)) + 1j * rng.standard_normal((n_points, n, n))
+    modes = cauchy.step_modes(samples)
+    plus, minus, c0 = cauchy.mode_split(samples)
+    assert np.array_equal(modes.plus, plus)
+    assert np.array_equal(modes.minus, minus)
+    assert np.array_equal(modes.c0, c0)
+    assert np.array_equal(modes.plus_sum, cauchy.plus_coefficient_sum(samples))
+    assert np.array_equal(modes.limit, cauchy.limit_estimate(samples))
+
+
+def test_limit_or_estimate_prefers_closed_form():
+    g = MobiusGrid.build(128)
+    c = np.array([[0.5, 1j], [2.0, -1.0]])
+    settling = sample(ClosedForm.constant(c) + ClosedForm([[(Term((1.0,), (1j, 1.0)),), ()], [(), ()]]), g)
+    estimate = np.full((2, 2), 7.0 + 0j)
+    assert np.array_equal(cauchy.limit_or_estimate(settling, estimate), c)
+    # an oscillating closed form, or none at all, falls back to the estimate
+    oscillating = sample(ClosedForm([[(Term((1.0,), (1.0,), 2.0),)]]), g)
+    assert np.array_equal(cauchy.limit_or_estimate(oscillating, estimate[:1, :1]), estimate[:1, :1])
+    bare = SampledMatrixFunction(g, settling.samples)
+    assert np.array_equal(cauchy.limit_or_estimate(bare, estimate), estimate)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from whfactor import cli, example2x2
+from whfactor import cli, engine, example2x2
 from whfactor.cli import ConfigError, RunConfig, main, parse_config, run
 
 
@@ -57,6 +57,16 @@ def test_parse_config_defaults():
 def test_parse_config_rejections(text, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(text)
+
+
+def test_strategy_names_come_from_the_engine_registry():
+    assert set(cli._STRATEGIES) == set(engine._BUILTIN_STRATEGIES) | {"explicit"}
+    with pytest.raises(ConfigError) as err:
+        parse_config(_example_cfg(strategy="magic"))
+    assert str(err.value) == (
+        "strategy must be one of canonical-zero, explicit, minimize-remainder-infinity, "
+        "got 'magic'"
+    )
 
 
 def test_parse_explicit_constants():

@@ -1,11 +1,12 @@
 """Factorization engine: recurrence, strategies, diagnostics, factor conditions."""
 
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from whfactor import engine, example2x2, rbvp
+from whfactor import cauchy, engine, example2x2, rbvp
 from whfactor.evaluators import ClosedForm, Term
 from whfactor.grid import MobiusGrid, SampledMatrixFunction, sample, sup_norm
 
@@ -243,3 +244,41 @@ def test_refined_residual_regimes():
     assert res_s.residual_sup_at(2) >= res_s.residual_sup_at(1)
     with pytest.raises(ValueError):
         res.residual_sup_at(0)
+
+
+def test_one_forward_fft_per_step(monkeypatch):
+    # every step derives its split, plus-sum and limit from one forward FFT
+    counts = {"fft": 0, "ifft": 0}
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    # stand-ins for numpy and numpy.fft that count, as the benchmark tracer does
+    fft_ns = types.ModuleType("numpy.fft")
+    fft_ns.__getattr__ = lambda attr: getattr(np.fft, attr)
+    fft_ns.fft, fft_ns.ifft = counted("fft"), counted("ifft")
+    np_ns = types.ModuleType("numpy")
+    np_ns.__getattr__ = lambda attr: getattr(np, attr)
+    np_ns.fft = fft_ns
+    monkeypatch.setattr(cauchy, "np", np_ns)
+    for strategy in ("canonical-zero", "minimize-remainder-infinity"):
+        for order in (1, 4):
+            counts.update(fft=0, ifft=0)
+            _, res = _example_run(phi=0.1, n_points=256, order=order, strategy=strategy,
+                                  refine_check=1, convergence=False)
+            assert res.order_reached == order
+            assert counts == {"fft": order, "ifft": 2 * order}
+
+
+def test_lambda0_must_match_profile():
+    g = MobiusGrid.build(128)
+    lam0 = engine.build_lambda0(rbvp.split_indices((1, 1)), g)
+    m0 = sample(example2x2.build_example(0.1).M0, g)
+    with pytest.raises(ValueError, match="diagonal exponents"):
+        engine.run_factorization(lam0, m0, PROFILE, order=1)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from whfactor.evaluators import ClosedForm, Term
+from whfactor.example2x2 import build_example, variant_constant
 
 
 def test_term_evaluates_rational_times_phase():
@@ -127,3 +129,41 @@ def test_from_dict_rejects_malformed():
         ClosedForm.from_dict({"shape": [1, 1], "entries": [[[{"den": [[1.0, 0.0]]}]]]})
     with pytest.raises((ValueError, KeyError, TypeError)):
         ClosedForm.from_dict({"entries": []})
+
+
+def _per_term_reference(cf, z):
+    """ClosedForm.__call__ as a plain sum over terms, one polyval per use."""
+    z = np.asarray(z, dtype=complex)
+    n, m = cf.shape
+    out = np.zeros(z.shape + (n, m), dtype=complex)
+    for i in range(n):
+        for j in range(m):
+            acc = np.zeros_like(z)
+            for t in cf.entries[i][j]:
+                val = npoly.polyval(z, t.num) / npoly.polyval(z, t.den)
+                acc += val * np.exp(1j * t.phase * z) if t.phase != 0.0 else val
+            out[..., i, j] = acc
+    return out
+
+
+def test_closed_form_call_equals_per_term_sum():
+    inst = build_example(0.1)
+    c0 = variant_constant(1, 0.1).c0
+    custom3 = []
+    for p in range(3):
+        row = []
+        for q in range(3):
+            k = 3 * p + q
+            b = (0.8 + 0.15 * k) * (1 if k % 2 == 0 else -1)
+            amp = (0.03 if p == q else 0.018) * np.exp(2j * np.pi * k / 9)
+            row.append((Term((amp,), (1j * b, 1.0), -1.0 + 0.25 * k),))
+        custom3.append(row)
+    cases = [
+        inst.M0,
+        ClosedForm.mobius_power_diag((-1, 0)) @ (inst.M0_plus - ClosedForm.constant(c0)),
+        inst.M0_minus + ClosedForm.constant(c0),
+        ClosedForm(custom3).mobius_scale(-1),
+    ]
+    z = np.concatenate([np.linspace(-40.0, 40.0, 257), [0.3 + 2j, -1.5 - 0.5j]])
+    for cf in cases:
+        assert np.array_equal(cf(z), _per_term_reference(cf, z))

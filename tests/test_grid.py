@@ -183,3 +183,18 @@ def test_c_mu_lower_bound_is_pinned():
     from whfactor.engine import c_mu_lower_bound
 
     assert c_mu_lower_bound(MobiusGrid.build(1024), 0.5) == 1.2091843126627935
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])  # 8 and up take numpy's pairwise path
+def test_matrix_norm_equals_reductions(n):
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (300, n, n)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a *= np.exp(rng.uniform(-20, 20, shape))  # wide magnitudes expose any reordering
+        want = np.abs(a).sum(axis=-1).max(axis=-1)
+        got = matrix_norm(a)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    a[7, n - 1, 0] = np.nan
+    got = matrix_norm(a)
+    assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()

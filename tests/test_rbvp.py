@@ -152,3 +152,14 @@ def test_solve_step_half_plane_handles():
     assert dn.shape == (2, 2) and np.all(np.isfinite(dn))
     with pytest.raises(ValueError):
         sol.hp_plus.evaluate(-1j)
+
+
+def test_solve_step_with_shared_modes_and_kappas_is_identical():
+    g, lam, m = _step_inputs(257)
+    e = np.array([[0.7, -1j]])
+    own = rbvp.solve_step(lam, m, e)
+    shared = rbvp.solve_step(lam, m, e, cauchy.step_modes(m.samples), rbvp.detect_kappas(lam))
+    for field in ("constant_used", "kappas", "c0", "plus_sum", "limit"):
+        assert np.array_equal(getattr(shared, field), getattr(own, field)), field
+    assert np.array_equal(shared.n_plus.samples, own.n_plus.samples)
+    assert np.array_equal(shared.n_minus.samples, own.n_minus.samples)
