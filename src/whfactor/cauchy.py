@@ -177,24 +177,19 @@ def cauchy_off_line(m: SampledMatrixFunction, z: complex) -> np.ndarray:
     return np.tensordot(weights, m.samples, axes=(0, 0)) / m.grid.n_points
 
 
-def resample(m: SampledMatrixFunction, factor: int,
-             fine: Optional[MobiusGrid] = None) -> SampledMatrixFunction:
+def resample(m: SampledMatrixFunction, factor: int) -> SampledMatrixFunction:
     """Carry samples to a factor-times finer midpoint grid.
 
     Uses the exact closed form when the function has one; otherwise
     trigonometric interpolation by zero-padding the circle modes (midpoint
-    phase twists applied on both grids). A caller resampling several
-    functions passes the finer grid as `fine` so that it is built once.
+    phase twists applied on both grids).
     """
     factor = int(factor)
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return m
-    if fine is None:
-        fine = MobiusGrid.build(m.grid.n_points * factor)
-    elif fine.n_points != m.grid.n_points * factor:
-        raise ValueError(f"fine grid must have {m.grid.n_points * factor} nodes")
+    fine = MobiusGrid.build(m.grid.n_points * factor)
     if m.closed_form is not None:
         return _sample(m.closed_form, fine)
     c, p = _circle_coefficients(m.samples)

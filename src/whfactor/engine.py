@@ -313,8 +313,10 @@ class FactorizationResult:
             raise ValueError("refine must be >= 1")
         hm, hp, l0, m0 = self.h_minus, self.h_plus, self.lambda0, self.m0
         if refine > 1:
-            fine = MobiusGrid.build(self.grid.n_points * refine)
-            hm, hp, l0, m0 = (cauchy.resample(f, refine, fine) for f in (hm, hp, l0, m0))
+            hm = cauchy.resample(hm, refine)
+            hp = cauchy.resample(hp, refine)
+            l0 = cauchy.resample(l0, refine)
+            m0 = cauchy.resample(m0, refine)
         diff = (hm @ l0 @ hp) - (l0 + m0)
         return sup_norm(diff)
 
@@ -369,7 +371,10 @@ def run_factorization(
         if sup_m < atol:
             break
         modes = cauchy.step_modes(current.samples)  # the step's only forward FFT
-        block = np.asarray(strat.free_block(r, current, profile, modes.plus_sum), dtype=complex)
+        # the strategy gets its own copy: modes.plus_sum goes into the step record
+        block = np.asarray(
+            strat.free_block(r, current, profile, modes.plus_sum.copy()), dtype=complex
+        )
         if block.shape != (n - k, n):
             raise ValueError(
                 f"strategy returned a free block of shape {block.shape}, expected {(n - k, n)}"

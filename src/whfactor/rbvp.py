@@ -171,14 +171,21 @@ def solve_step(
     Rows with exponent 1 use the forced (zero) constant; rows with exponent 0
     take the supplied free constants, one row of the block per index-0 row.
     The boundary identity holds at the nodes to rounding by construction.
-    A driver that already holds cauchy.step_modes(m.samples) and the checked
-    exponents of Lambda0+ passes them in as `modes` and `kappas`.
+    A driver that already holds them passes in `modes`, which must be
+    cauchy.step_modes(m.samples), and `kappas`, which must be
+    detect_kappas(lambda0_plus); only their shapes are checked.
     """
     if kappas is None:
         kappas = detect_kappas(lambda0_plus)
     n = m.dims[0]
     if lambda0_plus.dims != m.dims:
         raise ValueError("Lambda0+ and M dimensions disagree")
+    if kappas.shape != (n,):
+        raise ValueError(f"kappas must have shape {(n,)}, got {kappas.shape}")
+    if modes is not None and modes.plus.shape != m.samples.shape:
+        raise ValueError(
+            f"modes are for samples of shape {modes.plus.shape}, M has {m.samples.shape}"
+        )
     k = int(kappas.sum())
     free = np.asarray(free_rows_constant, dtype=complex)
     if free.shape != (n - k, n):

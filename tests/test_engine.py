@@ -282,3 +282,24 @@ def test_lambda0_must_match_profile():
     m0 = sample(example2x2.build_example(0.1).M0, g)
     with pytest.raises(ValueError, match="diagonal exponents"):
         engine.run_factorization(lam0, m0, PROFILE, order=1)
+
+
+def test_strategy_writing_plus_sum_leaves_records_alone():
+    # a strategy that scribbles on its plus_sum argument must not change the run
+    class Scribbler:
+        name = "scribbler"
+
+        def free_block(self, r, remainder, profile, plus_sum):
+            block = np.asarray(plus_sum)[profile.k:, :].copy()
+            plus_sum[...] = 1e6
+            return block
+
+    _, ref = _example_run(phi=0.1, n_points=256, order=3,
+                          strategy="minimize-remainder-infinity", convergence=False)
+    _, res = _example_run(phi=0.1, n_points=256, order=3,
+                          strategy=Scribbler(), convergence=False)
+    for a, b in zip(res.steps, ref.steps):
+        assert np.array_equal(a.plus_sum, b.plus_sum)
+        assert np.array_equal(a.solution.plus_sum, b.solution.plus_sum)
+        assert np.array_equal(a.c_total, b.c_total)
+    assert np.array_equal(res.h_plus.samples, ref.h_plus.samples)

@@ -163,3 +163,13 @@ def test_solve_step_with_shared_modes_and_kappas_is_identical():
         assert np.array_equal(getattr(shared, field), getattr(own, field)), field
     assert np.array_equal(shared.n_plus.samples, own.n_plus.samples)
     assert np.array_equal(shared.n_minus.samples, own.n_minus.samples)
+
+
+def test_solve_step_rejects_mismatched_modes_and_kappas():
+    g, lam, m = _step_inputs(257)
+    e = np.zeros((1, 2))
+    with pytest.raises(ValueError, match="kappas must have shape"):
+        rbvp.solve_step(lam, m, e, kappas=np.array([1, 0, 0]))
+    other = cauchy.step_modes(_step_inputs(256)[2].samples)
+    with pytest.raises(ValueError, match="modes are for samples"):
+        rbvp.solve_step(lam, m, e, other, rbvp.detect_kappas(lam))
