@@ -39,24 +39,36 @@ def _along_nodes(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape((len(v),) + (1,) * (ndim - 1))
 
 
-def _twist(raw: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """True circle modes c_p from the DFT bins: raw / N times exp(-i p pi / N)."""
+def _twist(raw: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
+    """True circle modes c_p from the DFT bins: raw / N times exp(-i p pi / N).
+
+    Written into out when given; out may be raw itself.
+    """
     n = raw.shape[0]
-    return raw / n * _along_nodes(np.exp(-1j * np.pi * p / n), raw.ndim)
+    c = np.divide(raw, n, out=out)
+    c *= _along_nodes(np.exp(-1j * np.pi * p / n), raw.ndim)
+    return c
 
 
-def _split(raw: np.ndarray, p: np.ndarray):
-    """(plus, minus, c0) from the DFT bins; raw is reused for the minus half."""
+def _split(raw: np.ndarray):
+    """(plus, minus, c0) from the DFT bins; raw is reused for the minus half.
+
+    Bins [1:h] hold the modes p > 0 and [:h] those p >= 0, h = (N+1)//2.
+    """
     n = raw.shape[0]
+    h = (n + 1) // 2
     c0 = raw[0] / n
-    plus = np.fft.ifft(np.where(_along_nodes(p > 0, raw.ndim), raw, 0), axis=0)
-    raw[p >= 0] = 0
-    return plus, np.fft.ifft(raw, axis=0), c0
+    plus = np.zeros_like(raw)
+    plus[1:h] = raw[1:h]
+    np.fft.ifft(plus, axis=0, out=plus)
+    raw[:h] = 0
+    np.fft.ifft(raw, axis=0, out=raw)
+    return plus, raw, c0
 
 
-def _coefficient_sums(c: np.ndarray, p: np.ndarray):
+def _coefficient_sums(c: np.ndarray):
     """(sum_{p>0} c_p, sum_p c_p): the plus part and the density at x = infinity."""
-    return c[p > 0].sum(axis=0), c.sum(axis=0)
+    return c[1:(c.shape[0] + 1) // 2].sum(axis=0), c.sum(axis=0)
 
 
 def mode_split(samples: np.ndarray):
@@ -68,19 +80,20 @@ def mode_split(samples: np.ndarray):
     node-space projections, so only masking is needed.
     """
     samples = np.asarray(samples, dtype=complex)
-    return _split(np.fft.fft(samples, axis=0), _signed_modes(samples.shape[0]))
+    return _split(np.fft.fft(samples, axis=0))
 
 
 def _circle_coefficients(samples: np.ndarray):
     """True circle modes c_p (phase twist applied) and their indices p."""
     samples = np.asarray(samples, dtype=complex)
     p = _signed_modes(samples.shape[0])
-    return _twist(np.fft.fft(samples, axis=0), p), p
+    raw = np.fft.fft(samples, axis=0)
+    return _twist(raw, p, out=raw), p
 
 
 def plus_coefficient_sum(samples: np.ndarray) -> np.ndarray:
     """sum_{p>0} c_p, the value at infinity of the upper boundary function."""
-    return _coefficient_sums(*_circle_coefficients(samples))[0]
+    return _coefficient_sums(_circle_coefficients(samples)[0])[0]
 
 
 def zeroth_mode(samples: np.ndarray) -> np.ndarray:
@@ -90,7 +103,7 @@ def zeroth_mode(samples: np.ndarray) -> np.ndarray:
 
 def limit_estimate(samples: np.ndarray) -> np.ndarray:
     """Trigonometric estimate of the density's limit at x = infinity (theta = 0)."""
-    return _coefficient_sums(*_circle_coefficients(samples))[1]
+    return _coefficient_sums(_circle_coefficients(samples)[0])[1]
 
 
 @dataclass(eq=False)
@@ -113,8 +126,8 @@ def step_modes(samples: np.ndarray) -> StepModes:
     samples = np.asarray(samples, dtype=complex)
     p = _signed_modes(samples.shape[0])
     raw = np.fft.fft(samples, axis=0)
-    plus_sum, limit = _coefficient_sums(_twist(raw, p), p)
-    plus, minus, c0 = _split(raw, p)
+    plus_sum, limit = _coefficient_sums(_twist(raw, p))
+    plus, minus, c0 = _split(raw)
     return StepModes(plus, minus, c0, plus_sum, limit)
 
 
@@ -228,7 +241,7 @@ class HalfPlaneFunction:
         return val
 
     def value_at_infinity(self) -> np.ndarray:
-        plus_sum, estimate = _coefficient_sums(*_circle_coefficients(self.density.samples))
+        plus_sum, estimate = _coefficient_sums(_circle_coefficients(self.density.samples)[0])
         if self.half_plane == "upper":
             base = plus_sum
         else:

@@ -137,6 +137,34 @@ _check_grid: Optional[MobiusGrid] = None
 _checked_phis: set = set()
 
 
+def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
+                      c0: np.ndarray, g: MobiusGrid) -> float:
+    """Median over the nodes of g of the largest entry-wise gap between routes.
+
+    M0+ and M0- are sampled once. The quadrature route solves the step for
+    their sum M0; the exact route is N1- = M0- + C0 and
+    N1+ = diag(conj w, 1)(M0+ - C0), built in place in the same two samples.
+    The gap is taken one matrix entry at a time, so its temporaries are one
+    entry long.
+    """
+    m0_plus = sample(instance.M0_plus, g).samples
+    m0_minus = sample(instance.M0_minus, g).samples
+    m0 = SampledMatrixFunction(g, m0_plus + m0_minus, instance.M0)
+    sol_q = rbvp.solve_step(sample(instance.Lambda0, g), m0, e_full[1:, :])
+    n_plus, n_minus = sol_q.n_plus.samples, sol_q.n_minus.samples
+    del sol_q, m0
+    n1_plus, n1_minus = m0_plus, m0_minus
+    n1_plus -= c0
+    n1_plus[:, 0, :] *= np.conj(g.w_nodes)[:, None]
+    n1_minus += c0
+    gap = np.zeros(g.n_points)
+    for got, want in ((n_plus, n1_plus), (n_minus, n1_minus)):
+        for i in range(2):
+            for j in range(2):
+                np.maximum(gap, np.abs(got[:, i, j] - want[:, i, j]), out=gap)
+    return float(np.median(gap))
+
+
 def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
                         c0: np.ndarray) -> None:
     """Compare the generic step solver against the closed-form split.
@@ -147,27 +175,20 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     in median but with slowly decaying outliers. The gate therefore bounds
     the median node-wise gap by 1e-6 on a fixed fine grid; the result is
     cached per phi since the gap does not depend on the variant constant
-    (both routes carry it exactly).
+    (both routes carry it exactly). Both routes start from a single sampling
+    of the exact split M0+, M0-: the solver gets their sum, and the exact
+    factors are the two halves shifted by C0 (see _route_gap_median).
     """
     global _check_grid
     if instance.phi in _checked_phis:
         return
     if _check_grid is None:
         _check_grid = MobiusGrid.build(_CHECK_GRID_N)
-    g = _check_grid
-    sol_q = rbvp.solve_step(sample(instance.Lambda0, g), sample(instance.M0, g),
-                            e_full[1:, :])
-    n1p_cf = ClosedForm.mobius_power_diag((-1, 0)) @ (instance.M0_plus - ClosedForm.constant(c0))
-    n1m_cf = instance.M0_minus + ClosedForm.constant(c0)
-    gap = np.maximum(
-        np.abs(sol_q.n_plus.samples - sample(n1p_cf, g).samples).max(axis=(1, 2)),
-        np.abs(sol_q.n_minus.samples - sample(n1m_cf, g).samples).max(axis=(1, 2)),
-    )
-    median = float(np.median(gap))
+    median = _route_gap_median(instance, e_full, c0, _check_grid)
     if median > 1e-6:
         raise ValueError(
             "closed-form and quadrature factor routes disagree "
-            f"(median gap {median:.3g} above 1e-6 on {g.n_points} nodes): "
+            f"(median gap {median:.3g} above 1e-6 on {_check_grid.n_points} nodes): "
             "quadrature/convention fault"
         )
     _checked_phis.add(instance.phi)

@@ -137,11 +137,11 @@ def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
     """Exponents of a diagonal Lambda0+ whose entries are each 1 or (x-i)/(x+i)."""
     s = lambda0_plus.samples
     n = s.shape[1]
-    off = s.copy()
-    for j in range(n):
-        off[:, j, j] = 0
-    if np.abs(off).max() > 1e-12:
-        raise ValueError("Lambda0+ must be diagonal")
+    for i in range(n):
+        for j in range(n):
+            # written so that a NaN entry fails the test
+            if i != j and not np.abs(s[:, i, j]).max() <= 1e-12:
+                raise ValueError("Lambda0+ must be diagonal with finite entries")
     w = lambda0_plus.grid.w_nodes
     kappas = np.empty(n, dtype=int)
     for j in range(n):
@@ -173,7 +173,8 @@ def solve_step(
     The boundary identity holds at the nodes to rounding by construction.
     A driver that already holds them passes in `modes`, which must be
     cauchy.step_modes(m.samples), and `kappas`, which must be
-    detect_kappas(lambda0_plus); only their shapes are checked.
+    detect_kappas(lambda0_plus); only their shapes are checked, and they are
+    never written.
     """
     if kappas is None:
         kappas = detect_kappas(lambda0_plus)
@@ -196,10 +197,14 @@ def solve_step(
 
     if modes is None:
         modes = cauchy.step_modes(m.samples)
-    n_plus = modes.plus - e
+        n_plus, n_minus = modes.plus, modes.minus  # this call's own split halves
+    else:
+        n_plus, n_minus = modes.plus.copy(), modes.minus.copy()
+    n_plus -= e
+    n_minus += modes.c0
+    n_minus += e
     if k:
         n_plus[:, :k, :] *= np.conj(m.grid.w_nodes)[:, None, None]
-    n_minus = modes.minus + modes.c0 + e
 
     row_powers = kappas.copy()
     hp_plus = cauchy.HalfPlaneFunction(

@@ -145,6 +145,18 @@ def test_route_cross_check_gate_runs_and_caches(monkeypatch):
     example2x2.first_step_factors(inst, vs, g)
 
 
+def test_route_gap_median_is_pinned():
+    # the median the 1e-6 gate judges, at the gate's own grid; a cheaper
+    # check must still measure this quantity
+    phi = 0.3
+    inst = example2x2.build_example(phi)
+    vs = example2x2.variant_constant(1, phi)
+    e_full = vs.c0 - inst.psi * example2x2.B_MATRICES[0]
+    g = MobiusGrid.build(example2x2._CHECK_GRID_N)
+    median = example2x2._route_gap_median(inst, e_full, vs.c0, g)
+    assert median == pytest.approx(2.7484857477013826e-07, rel=1e-7)
+
+
 def test_route_cross_check_detects_convention_fault(monkeypatch):
     phi = 0.41837
     inst = example2x2.build_example(phi)

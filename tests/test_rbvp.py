@@ -173,3 +173,34 @@ def test_solve_step_rejects_mismatched_modes_and_kappas():
     other = cauchy.step_modes(_step_inputs(256)[2].samples)
     with pytest.raises(ValueError, match="modes are for samples"):
         rbvp.solve_step(lam, m, e, other, rbvp.detect_kappas(lam))
+
+
+def test_solve_step_leaves_supplied_modes_alone():
+    g, lam, m = _step_inputs(257)
+    e = np.array([[0.7, -1j]])
+    modes = cauchy.step_modes(m.samples)
+    plus, minus = modes.plus.copy(), modes.minus.copy()
+    kappas = rbvp.detect_kappas(lam)
+    first = rbvp.solve_step(lam, m, e, modes, kappas)
+    second = rbvp.solve_step(lam, m, e, modes, kappas)
+    assert np.array_equal(first.n_plus.samples, second.n_plus.samples)
+    assert np.array_equal(first.n_minus.samples, second.n_minus.samples)
+    assert np.array_equal(modes.plus, plus)
+    assert np.array_equal(modes.minus, minus)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_detect_kappas_rejects_non_finite_off_diagonal(bad):
+    g = MobiusGrid.build(64)
+    samples = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples.copy()
+    samples[17, 1, 0] = bad
+    with pytest.raises(ValueError, match="diagonal"):
+        rbvp.detect_kappas(SampledMatrixFunction(g, samples))
+
+
+def test_detect_kappas_rejects_non_finite_diagonal():
+    g = MobiusGrid.build(64)
+    samples = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples.copy()
+    samples[5, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="neither 1 nor"):
+        rbvp.detect_kappas(SampledMatrixFunction(g, samples))
