@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import MobiusGrid, SampledMatrixFunction, sample as _sample
+from .grid import MobiusGrid, SampledMatrixFunction, node_sum, sample as _sample
 
 
 class AccuracyError(RuntimeError):
@@ -187,7 +187,7 @@ def cauchy_off_line(m: SampledMatrixFunction, z: complex) -> np.ndarray:
     else:
         u = (z + 1j) / (z - 1j)
         weights = -1.0 / (1.0 - w * u)
-    return np.tensordot(weights, m.samples, axes=(0, 0)) / m.grid.n_points
+    return node_sum(weights, m.samples) / m.grid.n_points
 
 
 def resample(m: SampledMatrixFunction, factor: int) -> SampledMatrixFunction:
@@ -202,7 +202,11 @@ def resample(m: SampledMatrixFunction, factor: int) -> SampledMatrixFunction:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return m
-    fine = MobiusGrid.build(m.grid.n_points * factor)
+    return _resample_to(m, MobiusGrid.build(m.grid.n_points * factor))
+
+
+def _resample_to(m: SampledMatrixFunction, fine: MobiusGrid) -> SampledMatrixFunction:
+    """`resample` onto a finer grid the caller built, so that several functions share it."""
     if m.closed_form is not None:
         return _sample(m.closed_form, fine)
     c, p = _circle_coefficients(m.samples)

@@ -32,6 +32,8 @@ from .grid import (
     SampledMatrixFunction,
     hoelder_norm,
     matrix_norm,
+    node_det,
+    node_matmul,
     sample,
     sup_norm,
 )
@@ -312,11 +314,9 @@ class FactorizationResult:
         if refine < 1:
             raise ValueError("refine must be >= 1")
         hm, hp, l0, m0 = self.h_minus, self.h_plus, self.lambda0, self.m0
-        if refine > 1:
-            hm = cauchy.resample(hm, refine)
-            hp = cauchy.resample(hp, refine)
-            l0 = cauchy.resample(l0, refine)
-            m0 = cauchy.resample(m0, refine)
+        if refine > 1:  # one refined grid for all four
+            fine = MobiusGrid.build(self.grid.n_points * refine)
+            hm, hp, l0, m0 = (cauchy._resample_to(f, fine) for f in (hm, hp, l0, m0))
         diff = (hm @ l0 @ hp) - (l0 + m0)
         return sup_norm(diff)
 
@@ -413,7 +413,7 @@ def run_factorization(
             limit = np.zeros((n, n), dtype=complex)
             for j in range(1, r + 1):
                 lj = records[j - 1].limit + records[j - 1].c_total
-                limit = limit + lj @ records[r - j].c_total
+                limit = limit + node_matmul(lj, records[r - j].c_total)
 
     order_reached = len(records)
 
@@ -469,10 +469,10 @@ def check_factor_conditions(result: FactorizationResult, k: Optional[int] = None
     if k:
         diff = hm_at[:, :k] - np.eye(n, dtype=complex)[:, :k]
         unit_defect = float(np.abs(diff).max())
-    prod = result.h_minus_infinity() @ result.h_plus_infinity()
+    prod = node_matmul(result.h_minus_infinity(), result.h_plus_infinity())
     inf_defect = float(matrix_norm(prod - np.eye(n)))
-    det_hm = np.abs(np.linalg.det(result.h_minus.samples))
-    det_hp = np.abs(np.linalg.det(result.h_plus.samples))
+    det_hm = np.abs(node_det(result.h_minus.samples))
+    det_hp = np.abs(node_det(result.h_plus.samples))
     return FactorConditionReport(
         unit_column_defect=unit_defect,
         unit_columns_ok=bool(unit_defect < 1e-8),

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cauchy, rbvp
 from .evaluators import ClosedForm, Term
-from .grid import MobiusGrid, SampledMatrixFunction, sample
+from .grid import MobiusGrid, SampledMatrixFunction, node_matmul, sample
 
 _DEN = (1j, 1.0)  # x + i, ascending
 
@@ -124,7 +124,7 @@ def variant_constant(variant_id: int, phi: float) -> VariantSpec:
         id=variant_id,
         phi=float(phi),
         c0=c0,
-        predicted_M1_infinity=c0 @ c0,
+        predicted_M1_infinity=node_matmul(c0, c0),
     )
 
 

@@ -108,7 +108,7 @@ class SampledMatrixFunction:
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form @ other.closed_form
-        return SampledMatrixFunction(self.grid, self.samples @ other.samples, cf)
+        return SampledMatrixFunction(self.grid, node_matmul(self.samples, other.samples), cf)
 
     def __mul__(self, c) -> "SampledMatrixFunction":
         c = complex(c)
@@ -129,6 +129,74 @@ def sample(closed_form: Callable, grid: MobiusGrid) -> SampledMatrixFunction:
         j = int(np.argwhere(bad.any(axis=(1, 2)))[0, 0])
         raise ValueError(f"evaluator returned a non-finite value at node x = {grid.x_nodes[j]!r}")
     return SampledMatrixFunction(grid, vals, closed_form)
+
+
+# ---------------------------------------------------------------------------
+# node-wise kernels
+#
+# Products, determinants and node sums of (N, n, n) samples are written with
+# element-wise ufuncs in a fixed order of operations. `@`, np.linalg and
+# np.tensordot hand the same work to BLAS/LAPACK, one call per node for tiny
+# matrices, and round as the kernel the BLAS build picks for the CPU does;
+# these give the same bits on every BLAS build of a given numpy.
+
+
+def node_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = sum_l a[..., i, l] * b[..., l, j], summed for l = 0, 1, ...
+
+    Takes two plain matrices, (n, k) and (k, m), or two node stacks,
+    (N, n, k) and (N, k, m).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if (a.ndim not in (2, 3) or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2] or a.shape[-1] < 1):
+        raise ValueError(f"cannot multiply node-wise: shapes {a.shape} and {b.shape}")
+    out = a[..., :, :1] * b[..., :1, :]
+    for l in range(1, a.shape[-1]):
+        out += a[..., :, l:l + 1] * b[..., l:l + 1, :]
+    return out
+
+
+def node_det(a: np.ndarray) -> np.ndarray:
+    """Determinant of each (n, n) matrix in a (N, n, n) stack.
+
+    Gaussian elimination with partial pivoting, on all nodes at once. A node
+    whose pivot column is all zero is singular: its determinant is exactly
+    0 and it is left out of the division, so it never turns into NaN.
+    """
+    a = np.asarray(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ValueError(f"need a (N, n, n) stack of square matrices, got shape {a.shape}")
+    m = np.array(a.transpose(1, 2, 0), dtype=complex, order="C")  # (n, n, N)
+    n = m.shape[0]
+    det = np.ones(a.shape[0], dtype=complex)
+    for c in range(n):
+        if c + 1 < n:
+            pivot_row = c + np.abs(m[c:, c]).argmax(axis=0)
+            for r in range(c + 1, n):
+                swap = pivot_row == r
+                if swap.any():
+                    row_c = m[c, c:].copy()
+                    np.copyto(m[c, c:], m[r, c:], where=swap)
+                    np.copyto(m[r, c:], row_c, where=swap)
+                    np.negative(det, out=det, where=swap)
+        piv = m[c, c]
+        det *= piv
+        live = piv != 0
+        for r in range(c + 1, n):
+            f = np.divide(m[r, c], piv, out=np.zeros_like(piv), where=live)
+            m[r, c + 1:] -= f * m[c, c + 1:]
+    return det
+
+
+def node_sum(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * samples[j] over the node axis, for (N,) weights."""
+    weights, samples = np.asarray(weights), np.asarray(samples)
+    if weights.ndim != 1 or samples.shape[:1] != weights.shape:
+        raise ValueError(
+            f"need (N,) weights for (N, ...) samples, got {weights.shape} and {samples.shape}"
+        )
+    return (weights.reshape(weights.shape + (1,) * (samples.ndim - 1)) * samples).sum(axis=0)
 
 
 def matrix_norm(a: np.ndarray) -> np.ndarray:

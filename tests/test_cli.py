@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,20 +291,31 @@ _GOLDEN_CONFIGS = {
                 "grid_points": 256},
 }
 
-# sha256 of each output file, recorded before the Hoelder scan and the CSV
-# writer were rewritten; any change to the bytes of a run shows here.
+# sha256 of each output file; any change to the bytes of a run shows here.
+# Recorded once node-wise products, determinants and node sums were built
+# from numpy ufuncs instead of BLAS/LAPACK calls, so they hold on every BLAS
+# build of a given numpy (test_run_outputs_do_not_depend_on_the_blas_kernel).
+# numpy's own SIMD dispatch can still move the last bits: its AVX2/FMA3 loops
+# for complex products, abs and exp round differently from its baseline ones.
 _GOLDEN_DIGESTS = {
     "custom3": {
-        "factors.csv": "fb5b17495102715ad1b9658f1e2dfc88197d30dd45aafd74328b8f8d3fe07ac5",
+        "factors.csv": "9c88cc3db686f1821b4102cd09ca4ad55e65593f146cbd765810bea0031e5d9b",
         "remainders.csv": "323a9116ee6e2b98e48988f88e4640a156faf3d383286f0ed7803966b5ab54ff",
-        "diagnostics.json": "5c4291f2997cec0e127d2a4e90a3cdf329cefb59057ce33dcbf26625aa6882cf",
+        "diagnostics.json": "79556cb591a725da5dfbd62cc92fa5a7de7bc78d639b45c1ef512ef0c184b1d6",
     },
     "example": {
-        "factors.csv": "11ffcc8fc5284f6187c30ca20172cf47cfb1566ad2946ec0d1dd2ae4bf711ca1",
-        "remainders.csv": "d96dbc33eb5a5e63fc1ba218b3e30b02aa08612c4854bedb81b8be1e4e41f072",
-        "diagnostics.json": "436cacea94171f64bce20b8d542b7b424b7fc0556073b1d7f5a9d6ae5a4289a3",
+        "factors.csv": "7c67340877ae0992b09220a6d9563f22f5abf46dfff32094b14de0e20c8e2ec3",
+        "remainders.csv": "fe7e35708ba25583bf1190ad132d31d851daadafab11e974aa9ba19796d1d6e7",
+        "diagnostics.json": "0be593b976d8c2d5ef284cc47719520d0910a3a1c87de25c04fb35b12e1b4fc5",
     },
 }
+
+
+def _digests(out_dir):
+    return {
+        f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+        for f in ("factors.csv", "remainders.csv", "diagnostics.json")
+    }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
@@ -308,8 +323,25 @@ def test_run_outputs_match_golden_digests(tmp_path, name):
     cfg = parse_config(json.dumps(_GOLDEN_CONFIGS[name]))
     cfg.output_dir = str(tmp_path / name)
     run(cfg)
-    got = {
-        f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
-        for f in ("factors.csv", "remainders.csv", "diagnostics.json")
-    }
-    assert got == _GOLDEN_DIGESTS[name]
+    assert _digests(tmp_path / name) == _GOLDEN_DIGESTS[name]
+
+
+def test_run_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS use the kernels of an
+    # older CPU (other BLAS builds ignore it); the output bytes must not move
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for name, config in sorted(_GOLDEN_CONFIGS.items()):
+        cfg_file = tmp_path / f"{name}.json"
+        cfg_file.write_text(json.dumps(config))
+        sub = subprocess.run(
+            [sys.executable, "-m", "whfactor.cli", "run", "--config", str(cfg_file),
+             "--output-dir", str(tmp_path / "prescott" / name)],
+            env=env, capture_output=True, text=True,
+        )
+        assert sub.returncode == 0, sub.stderr
+        cfg = parse_config(json.dumps(config))
+        cfg.output_dir = str(tmp_path / "here" / name)
+        run(cfg)
+        assert _digests(tmp_path / "prescott" / name) == _digests(tmp_path / "here" / name), name

@@ -246,6 +246,20 @@ def test_refined_residual_regimes():
         res.residual_sup_at(0)
 
 
+def test_refined_residual_builds_one_grid(monkeypatch):
+    _, res = _example_run(phi=0.1, n_points=256, order=2, convergence=False)
+    # the residual as written before: each operand resampled on its own grid
+    hm, hp, l0, m0 = (cauchy.resample(f, 3) for f in (res.h_minus, res.h_plus,
+                                                       res.lambda0, res.m0))
+    want = sup_norm((hm @ l0 @ hp) - (l0 + m0))
+    builds = []
+    build = MobiusGrid.build.__func__
+    monkeypatch.setattr(MobiusGrid, "build",
+                        classmethod(lambda cls, n: builds.append(n) or build(cls, n)))
+    assert res.residual_sup_at(3) == want
+    assert builds == [768]
+
+
 def test_one_forward_fft_per_step(monkeypatch):
     # every step derives its split, plus-sum and limit from one forward FFT
     counts = {"fft": 0, "ifft": 0}

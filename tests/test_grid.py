@@ -12,6 +12,9 @@ from whfactor.grid import (
     matrix_norm,
     mobius_forward,
     mobius_inverse,
+    node_det,
+    node_matmul,
+    node_sum,
     sample,
     sup_norm,
 )
@@ -198,3 +201,77 @@ def test_matrix_norm_equals_reductions(n):
     a[7, n - 1, 0] = np.nan
     got = matrix_norm(a)
     assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_node_matmul_is_the_fixed_order_sum(n):
+    rng = np.random.default_rng(10 + n)
+    for lead in ((), (300,)):
+        for k, m in ((n, n), (n + 1, 2)):
+            a = _random_complex(rng, lead + (n, k))
+            b = _random_complex(rng, lead + (k, m))
+            want = np.empty(lead + (n, m), dtype=complex)
+            for i in range(n):
+                for j in range(m):
+                    acc = a[..., i, 0] * b[..., 0, j]
+                    for l in range(1, k):
+                        acc = acc + a[..., i, l] * b[..., l, j]
+                    want[..., i, j] = acc
+            got = node_matmul(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            # BLAS rounds differently, but only at the scale of the terms
+            assert np.all(np.abs(got - a @ b) <= 1e-14 * (np.abs(a) @ np.abs(b)))
+
+
+def test_node_matmul_rejects_mismatched_shapes():
+    a2, a3 = np.ones((2, 2)), np.ones((5, 2, 2))
+    for a, b in ((np.ones((2, 3)), np.ones((2, 3))),  # inner sizes differ
+                 (a3, a2), (a2, a3),  # a stack times a single matrix
+                 (a3, np.ones((4, 2, 2))),  # different node counts
+                 (np.ones(2), np.ones(2)), (np.ones((1, 5, 2, 2)),) * 2,
+                 (np.ones((2, 0)), np.ones((0, 2)))):
+        with pytest.raises(ValueError):
+            node_matmul(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_node_det_matches_lapack(n):
+    rng = np.random.default_rng(20 + n)
+    a = _random_complex(rng, (400, n, n))
+    a[0] = 0.0  # a zero matrix: no pivot in any column
+    singular = [0]
+    if n > 1:
+        a[1, :, 0] = 0.0  # an all-zero first column
+        a[2, 1] = a[2, 0]  # two equal rows
+        a[3, 0, 0] = 0.0  # a zero leading entry forces a row swap
+        a[4] = np.eye(n)[::-1]  # a permutation matrix: determinant exactly +-1
+        singular += [1, 2]
+    got = node_det(a)
+    want = np.linalg.det(a)
+    assert got.shape == (400,) and np.isfinite(got).all()
+    # exactly 0 on the singular nodes, where LAPACK may leave a rounding residue
+    assert np.all(got[singular] == 0) and np.abs(want[singular]).max() < 1e-13
+    if n > 1:
+        assert got[4] == want[4]
+    np.testing.assert_allclose(np.delete(got, singular), np.delete(want, singular),
+                               rtol=1e-12, atol=0)
+    for bad in (np.ones((3, n, n + 1)), np.ones((n, n))):  # not square; not a stack
+        with pytest.raises(ValueError):
+            node_det(bad)
+
+
+@pytest.mark.parametrize("shape", [(257,), (257, 1, 1), (257, 3, 3)])
+def test_node_sum_matches_tensordot(shape):
+    rng = np.random.default_rng(len(shape))
+    w = _random_complex(rng, shape[:1])
+    s = _random_complex(rng, shape)
+    got = node_sum(w, s)
+    assert np.array_equal(got, (w.reshape(shape[:1] + (1,) * (len(shape) - 1)) * s).sum(axis=0))
+    np.testing.assert_allclose(got, np.tensordot(w, s, axes=(0, 0)), rtol=1e-14, atol=0)
+    with pytest.raises(ValueError):
+        node_sum(w[1:], s)
