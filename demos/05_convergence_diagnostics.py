@@ -50,7 +50,7 @@ phi = 1e-4
 profile = split_indices((1, 0))
 m0 = sample(build_example(phi).M0, grid)
 res = run_factorization(build_lambda0(profile, grid), m0, profile, 6,
-                        convergence=convergence_constant(m0, mu=0.5, c_mu=1.0))
+                        mu=0.5, c_mu=1.0, convergence=True)
 d = res.diagnostics
 print(f"\nphi = {phi}: A = {d.A:.4f}, perturbation margin 1/A = {d.epsilon_bound:.1f}, "
       f"measured residual = {res.residual_sup:.2e}")

@@ -340,7 +340,13 @@ def run_factorization(
     assembled factors then pair with the full diagonal (exponents as given in
     the profile), and the shift cancels from all reported sup norms.
     Early stop: a remainder with sup norm below atol ends the loop.
+    `convergence` turns the Hoelder diagnostics on (True) or off (False);
+    None computes them on grids of up to 8192 nodes.
     """
+    if convergence is not None and not isinstance(convergence, (bool, np.bool_)):
+        raise TypeError(
+            f"convergence must be None or a bool, got {type(convergence).__name__}"
+        )
     if not isinstance(profile, PartialIndexProfile):
         profile = split_indices(profile)
     order = int(order)

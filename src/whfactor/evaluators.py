@@ -9,7 +9,6 @@ callables mapping an array of points (real or complex) to stacked matrices.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +77,80 @@ def _merge_terms(terms: Sequence[Term]) -> tuple:
     return tuple(merged)
 
 
+_BLOCK = 1 << 13  # points per evaluation block
+
+
 def _poly_key(coeffs: tuple) -> bytes:
     return np.asarray(coeffs, dtype=complex).tobytes()
+
+
+def _real_polyval(x: np.ndarray, coeffs: tuple):
+    """npoly.polyval on the complex copy of the real array x, without the copy.
+
+    A constant stays a scalar, and a monic linear polynomial is x + c0.
+    Otherwise Horner's rule runs on the real and imaginary parts apart: a
+    complex product with a real factor rounds each part once, as this does.
+    The values differ from polyval's at most in the sign of a zero part.
+    """
+    if len(coeffs) == 1:
+        return coeffs[0]
+    if len(coeffs) == 2 and coeffs[1] == 1:
+        return x + coeffs[0]
+    p = np.empty(x.shape, dtype=complex)
+    for part, c in ((p.real, [v.real for v in coeffs]), (p.imag, [v.imag for v in coeffs])):
+        np.multiply(x, c[-1], out=part)
+        part += c[-2]
+        for v in reversed(c[:-2]):
+            part *= x
+            part += v
+    return p
+
+
+def _real_exponentials(x: np.ndarray, phases) -> dict:
+    """e^(i*a*x) on the real array x for each phase a; None for phase 0.
+
+    cos(|a| x) + i sin(|a| x) has the bits of np.exp(1j * a * x) on the
+    complex copy of x, save the sign of a zero sine at x = 0, and
+    e^(-i|a|x) is its conjugate: cos is even and sin is odd.
+    """
+    exps = {0.0: None}
+    for a in {abs(p) for p in phases} - {0.0}:
+        e = np.empty(x.shape, dtype=complex)
+        arg = a * x
+        np.cos(arg, out=e.real)
+        np.sin(arg, out=e.imag)
+        if -a in phases:
+            exps[-a] = np.conjugate(e) if a in phases else np.conjugate(e, out=e)
+        if a in phases:
+            exps[a] = e
+    return exps
+
+
+def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
+    """Write each entry of out, (N, n, m), as its sum of terms from zero.
+
+    cells[i][j] lists the entry's terms P/Q * e^(i*phase*z) as (key of P,
+    key of Q, phase); polys maps a key to the polynomial's values, an array
+    or, for a constant, a scalar; exps maps a phase to e^(i*phase*z), None
+    for phase 0.
+    """
+    # complex quotients and products never overwrite an operand: numpy
+    # rounds some in-place ones (on one-element arrays) differently
+    quot, prod, acc = (np.empty(out.shape[:1], dtype=complex) for _ in range(3))
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            slot = out[:, i, j]
+            if not cell:
+                slot[...] = 0
+            last = len(cell) - 1
+            for r, (num, den, phase) in enumerate(cell):
+                v = np.divide(polys[num], polys[den], out=quot)
+                if exps[phase] is not None:
+                    v = np.multiply(quot, exps[phase], out=prod)
+                if r == 0:  # 0 + v, as a sum from zero: a -0.0 part of v turns +0.0
+                    np.add(v, 0.0, out=slot if r == last else acc)
+                else:
+                    np.add(acc, v, out=slot if r == last else acc)
 
 
 class ClosedForm:
@@ -143,34 +214,38 @@ class ClosedForm:
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, z):
+        """Values at the points z, an array of shape z.shape + (n, m).
+
+        Finite real input takes the real-node path: polynomials are evaluated
+        on the real array and each |phase| costs one cos/sin pair. Its values
+        are those of the complex path, evaluated on the complex copy of z, bit
+        for bit. Both paths run over blocks of _BLOCK points, so that their
+        temporaries stay in cache.
+        """
         z = np.asarray(z)
         scalar = z.ndim == 0
-        zz = np.atleast_1d(z).astype(complex)
-        n, m = self.shape
-        out = np.zeros(zz.shape + (n, m), dtype=complex)
+        z = np.atleast_1d(z)
+        x = np.asarray(z, dtype=float) if z.dtype.kind in "biuf" else None
+        real = x is not None and bool(np.isfinite(x).all())
+        pts = (x if real else z.astype(complex)).reshape(-1)
+        out = np.empty(z.shape + self.shape, dtype=complex)
+        flat = out.reshape((-1,) + self.shape)
+        # polynomials are named by their bytes, so that 0.0 and -0.0
+        # coefficients stay apart; each distinct one is evaluated once a block
+        cells = [[[(_poly_key(t.num), _poly_key(t.den), t.phase) for t in cell] for cell in row]
+                 for row in self.entries]
         terms = [t for row in self.entries for cell in row for t in cell]
+        coeffs = {_poly_key(c): c for t in terms for c in (t.num, t.den)}
         phases = {t.phase for t in terms}
-        exps = {a: (np.exp(1j * a * zz) if a != 0.0 else None) for a in phases}
-        # each distinct polynomial is evaluated once and dropped after its last
-        # use; keyed by bytes so that 0.0 and -0.0 coefficients stay apart
-        uses = Counter(_poly_key(c) for t in terms for c in (t.num, t.den))
-        polys = {}
-
-        def polyval(coeffs):
-            key = _poly_key(coeffs)
-            if key not in polys:
-                polys[key] = npoly.polyval(zz, coeffs)
-            uses[key] -= 1
-            return polys[key] if uses[key] else polys.pop(key)
-
-        for i in range(n):
-            for j in range(m):
-                acc = np.zeros_like(zz)
-                for t in self.entries[i][j]:
-                    val = polyval(t.num) / polyval(t.den)
-                    e = exps[t.phase]
-                    acc += val * e if e is not None else val
-                out[..., i, j] = acc
+        for k in range(0, len(pts), _BLOCK):
+            p = pts[k:k + _BLOCK]
+            if real:
+                polys = {key: _real_polyval(p, c) for key, c in coeffs.items()}
+                exps = _real_exponentials(p, phases)
+            else:
+                polys = {key: npoly.polyval(p, c) for key, c in coeffs.items()}
+                exps = {a: (np.exp(1j * a * p) if a != 0.0 else None) for a in phases}
+            _assemble(flat[k:k + _BLOCK], cells, polys, exps)
         return out[0] if scalar else out
 
     # -- algebra ---------------------------------------------------------------

@@ -141,28 +141,31 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
                       c0: np.ndarray, g: MobiusGrid) -> float:
     """Median over the nodes of g of the largest entry-wise gap between routes.
 
-    M0+ and M0- are sampled once. The quadrature route solves the step for
-    their sum M0; the exact route is N1- = M0- + C0 and
-    N1+ = diag(conj w, 1)(M0+ - C0), built in place in the same two samples.
-    The gap is taken one matrix entry at a time, so its temporaries are one
-    entry long.
+    M0+ and M0- are sampled once, and Lambda0 = diag(w, 1) is taken from the
+    grid. The quadrature route solves the step for their sum M0; the exact
+    route is N1- = M0- + C0 and N1+ = diag(conj w, 1)(M0+ - C0), built in
+    place in the same two samples. The differences overwrite the solver's
+    factors.
     """
     m0_plus = sample(instance.M0_plus, g).samples
     m0_minus = sample(instance.M0_minus, g).samples
     m0 = SampledMatrixFunction(g, m0_plus + m0_minus, instance.M0)
-    sol_q = rbvp.solve_step(sample(instance.Lambda0, g), m0, e_full[1:, :])
-    n_plus, n_minus = sol_q.n_plus.samples, sol_q.n_minus.samples
-    del sol_q, m0
-    n1_plus, n1_minus = m0_plus, m0_minus
-    n1_plus -= c0
-    n1_plus[:, 0, :] *= np.conj(g.w_nodes)[:, None]
-    n1_minus += c0
-    gap = np.zeros(g.n_points)
-    for got, want in ((n_plus, n1_plus), (n_minus, n1_minus)):
-        for i in range(2):
-            for j in range(2):
-                np.maximum(gap, np.abs(got[:, i, j] - want[:, i, j]), out=gap)
-    return float(np.median(gap))
+    lambda0 = np.zeros(m0_plus.shape, dtype=complex)
+    lambda0[:, 0, 0] = g.w_nodes
+    lambda0[:, 1, 1] = 1.0
+    sol_q = rbvp.solve_step(SampledMatrixFunction(g, lambda0), m0, e_full[1:, :])
+    d_plus, d_minus = sol_q.n_plus.samples, sol_q.n_minus.samples
+    del sol_q, m0, lambda0
+    m0_plus -= c0
+    m0_plus[:, 0, :] *= np.conj(g.w_nodes)[:, None]
+    m0_minus += c0
+    d_plus -= m0_plus
+    d_minus -= m0_minus
+    gap = np.abs(d_plus)
+    np.maximum(gap, np.abs(d_minus), out=gap)
+    gap = gap.reshape(g.n_points, 4)  # largest of the four entries, node by node
+    return float(np.median(np.maximum(np.maximum(gap[:, 0], gap[:, 1]),
+                                      np.maximum(gap[:, 2], gap[:, 3]))))
 
 
 def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,

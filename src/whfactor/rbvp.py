@@ -143,13 +143,18 @@ def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
             if i != j and not np.abs(s[:, i, j]).max() <= 1e-12:
                 raise ValueError("Lambda0+ must be diagonal with finite entries")
     w = lambda0_plus.grid.w_nodes
+    # np.allclose(d, target, atol=1e-9) for a finite target, one pass per test:
+    # |d - target| <= 1e-9 + 1e-5 |target| at every node; NaN and inf fail
+    targets = ((0, 1.0, 1e-9 + 1e-5), (1, w, 1e-9 + 1e-5 * np.abs(w)))
+    diff = np.empty(len(w), dtype=complex)
+    gap = np.empty(len(w))
     kappas = np.empty(n, dtype=int)
     for j in range(n):
-        d = s[:, j, j]
-        if np.allclose(d, 1.0, atol=1e-9):
-            kappas[j] = 0
-        elif np.allclose(d, w, atol=1e-9):
-            kappas[j] = 1
+        for kappa, target, tol in targets:
+            np.abs(np.subtract(s[:, j, j], target, out=diff), out=gap)
+            if np.less_equal(gap, tol).all():
+                kappas[j] = kappa
+                break
         else:
             raise ValueError(
                 f"diagonal entry {j} is neither 1 nor (x-i)/(x+i); stable-case scope only"

@@ -317,3 +317,12 @@ def test_strategy_writing_plus_sum_leaves_records_alone():
         assert np.array_equal(a.solution.plus_sum, b.solution.plus_sum)
         assert np.array_equal(a.c_total, b.c_total)
     assert np.array_equal(res.h_plus.samples, ref.h_plus.samples)
+
+
+def test_run_factorization_rejects_non_bool_convergence():
+    g = MobiusGrid.build(64)
+    m0 = sample(example2x2.build_example(0.1).M0, g)
+    diag = engine.convergence_constant(m0, mu=0.5, c_mu=1.0)
+    with pytest.raises(TypeError, match="convergence must be None or a bool"):
+        engine.run_factorization(engine.build_lambda0(PROFILE, g), m0, PROFILE, 1,
+                                 convergence=diag)

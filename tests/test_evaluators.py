@@ -167,3 +167,51 @@ def test_closed_form_call_equals_per_term_sum():
     z = np.concatenate([np.linspace(-40.0, 40.0, 257), [0.3 + 2j, -1.5 - 0.5j]])
     for cf in cases:
         assert np.array_equal(cf(z), _per_term_reference(cf, z))
+
+
+def _custom3_m0():
+    """The custom3-style 3x3 M0: entries amp e^(i w x) / (x + i b), alternating poles."""
+    rows = []
+    for p in range(3):
+        row = []
+        for q in range(3):
+            k = 3 * p + q
+            b = (0.8 + 0.15 * k) * (1 if k % 2 == 0 else -1)
+            amp = (0.03 if p == q else 0.018) * np.exp(2j * np.pi * k / 9)
+            row.append((Term((amp,), (1j * b, 1.0), -1.0 + 0.25 * k),))
+        rows.append(row)
+    return ClosedForm(rows)
+
+
+def test_real_node_path_equals_complex_path():
+    cases = [
+        ClosedForm.mobius_power_diag((2, 1, 0, -1, -2)),
+        # both +a and -a phases, and a degree-2 denominator
+        ClosedForm([[(Term((1.5 - 0.5j,), (2j, 1.0), 0.3), Term((-0.25j,), (1j, 1.0), -0.3)),
+                     (Term((0.7, 2 - 1j), (1j, 0.0, 1.0), -0.3),)]]),
+        # coefficients with -0.0 parts, kept apart from +0.0 ones
+        ClosedForm([[(Term((complex(-0.0, 1.0), complex(2.0, -0.0)), (complex(1.0, -0.0), 0j, 1.0), 0.4),
+                      Term((complex(3.0, -0.0),)),
+                      Term((complex(-0.0, 2.0),), (complex(-0.0, 1.0), 1.0)))]]),
+        _custom3_m0(),
+        _custom3_m0().mobius_scale(-1),
+    ]
+    for phi in (0.2, 0.05):
+        inst = build_example(phi)
+        cases += [inst.M0, inst.M0_plus, inst.M0_minus, inst.G1]
+        for vid in range(4):
+            c0 = variant_constant(vid, phi).c0
+            cases.append(ClosedForm.mobius_power_diag((-1, 0)) @ (inst.M0_plus - ClosedForm.constant(c0)))
+            cases.append(inst.M0_minus + ClosedForm.constant(c0))
+    # three evaluation blocks, the last of one point; both signed zeros
+    x = np.concatenate([np.linspace(-300.0, 300.0, 16383), [0.0, -0.0]])
+    inputs = [x, np.arange(-7, 8), np.array(0.7), np.array(-0.0), np.zeros(0)]
+    for cf in cases:
+        for pts in inputs:
+            real = cf(pts)
+            cplx = cf(np.asarray(pts, dtype=complex))
+            assert real.shape == cplx.shape == np.shape(pts) + cf.shape
+            assert np.array_equal(real, cplx)
+            assert real.tobytes() == cplx.tobytes()  # the signs of zeros too
+        z = x[::97] + 0.5j
+        assert np.array_equal(cf(z), _per_term_reference(cf, z))

@@ -174,6 +174,35 @@ def test_route_cross_check_detects_convention_fault(monkeypatch):
     example2x2._checked_phis.discard(phi)
 
 
+def test_route_cross_check_samples_only_the_split(monkeypatch):
+    # per phi, the check samples M0+ and M0- on its grid and nothing else;
+    # the solver is called with (lambda0, m, free_block) alone
+    phi = 0.28613
+    inst = example2x2.build_example(phi)
+    vs = example2x2.variant_constant(2, phi)
+    on_check_grid = []
+    solver_calls = []
+    real_call = ClosedForm.__call__
+    real_solve = rbvp.solve_step
+
+    def counting_call(self, z):
+        if np.shape(z) == (example2x2._CHECK_GRID_N,):
+            on_check_grid.append(self)
+        return real_call(self, z)
+
+    def recording_solve(*args, **kwargs):
+        solver_calls.append((len(args), kwargs))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ClosedForm, "__call__", counting_call)
+    monkeypatch.setattr(rbvp, "solve_step", recording_solve)
+    assert phi not in example2x2._checked_phis
+    example2x2.first_step_factors(inst, vs, MobiusGrid.build(64))
+    example2x2._checked_phis.discard(phi)
+    assert on_check_grid == [inst.M0_plus, inst.M0_minus]
+    assert solver_calls == [(3, {})]
+
+
 def test_figure_data_table():
     g = MobiusGrid.build(64)
     phis = [0.3, 0.1]

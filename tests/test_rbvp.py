@@ -204,3 +204,25 @@ def test_detect_kappas_rejects_non_finite_diagonal():
     samples[5, 1, 1] = np.nan
     with pytest.raises(ValueError, match="neither 1 nor"):
         rbvp.detect_kappas(SampledMatrixFunction(g, samples))
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_detect_kappas_keeps_allclose_tolerance(kappa):
+    # accepted iff |d - target| <= 1e-9 + 1e-5 |target| at every node, as
+    # np.allclose(d, target, atol=1e-9) decides: 1.00005e-5 off passes only
+    # through the sum of both tolerances, 1.00015e-5 off fails
+    g = MobiusGrid.build(64)
+    target = g.w_nodes if kappa else np.ones(64, dtype=complex)
+    for rel, ok in ((1.00005e-5, True), (-1.00005e-5, True), (1.00015e-5, False), (-1.00015e-5, False)):
+        d = target * (1 + rel)
+        assert np.allclose(d, target, atol=1e-9) == ok
+        lam = SampledMatrixFunction(g, d[:, None, None])
+        if ok:
+            assert rbvp.detect_kappas(lam).tolist() == [kappa]
+        else:
+            with pytest.raises(ValueError, match="neither 1 nor"):
+                rbvp.detect_kappas(lam)
+    d = target.copy()
+    d[9] = np.inf
+    with pytest.raises(ValueError, match="neither 1 nor"):
+        rbvp.detect_kappas(SampledMatrixFunction(g, d[:, None, None]))
