@@ -34,41 +34,79 @@ def _signed_modes(n: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
 
-def _along_nodes(v: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape a per-mode vector to broadcast against (N, ...) samples."""
-    return v.reshape((len(v),) + (1,) * (ndim - 1))
+# Samples are passed around node axis first, (N, ...), as
+# SampledMatrixFunction.samples shows them, and stored node-last. Every
+# transform below works on the node axis moved last: for a `samples` view
+# that is the contiguous storage itself, and results are again node-last
+# arrays, handed back as their (N, ...) views.
 
 
-def _twist(raw: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
-    """True circle modes c_p from the DFT bins: raw / N times exp(-i p pi / N).
+def _node_last(samples) -> np.ndarray:
+    return np.moveaxis(np.asarray(samples, dtype=complex), 0, -1)
 
-    Written into out when given; out may be raw itself.
+
+def _node_first(a: np.ndarray) -> np.ndarray:
+    return np.moveaxis(a, -1, 0)
+
+
+def _spectrum(samples) -> np.ndarray:
+    """DFT bins of (N, ...) samples along the node axis, as a C-contiguous (..., N) array."""
+    x = _node_last(samples)
+    return np.fft.fft(x, axis=-1, out=np.empty(x.shape, dtype=complex))
+
+
+def _twist(raw: np.ndarray, p: np.ndarray, n: int, out=None) -> np.ndarray:
+    """True circle modes c_p from the DFT bins p of an n-point grid: raw / n times exp(-i p pi / n).
+
+    raw holds the bins along its last axis; the result is written into out
+    when given, and out may be raw itself.
     """
-    n = raw.shape[0]
     c = np.divide(raw, n, out=out)
-    c *= _along_nodes(np.exp(-1j * np.pi * p / n), raw.ndim)
+    c *= np.exp(-1j * np.pi * p / n)
     return c
 
 
 def _split(raw: np.ndarray):
-    """(plus, minus, c0) from the DFT bins; raw is reused for the minus half.
+    """(plus, minus, c0) from the DFT bins (last axis); raw is reused for the minus half.
 
     Bins [1:h] hold the modes p > 0 and [:h] those p >= 0, h = (N+1)//2.
     """
-    n = raw.shape[0]
+    n = raw.shape[-1]
     h = (n + 1) // 2
-    c0 = raw[0] / n
+    c0 = raw[..., 0] / n
     plus = np.zeros_like(raw)
-    plus[1:h] = raw[1:h]
-    np.fft.ifft(plus, axis=0, out=plus)
-    raw[:h] = 0
-    np.fft.ifft(raw, axis=0, out=raw)
+    plus[..., 1:h] = raw[..., 1:h]
+    np.fft.ifft(plus, axis=-1, out=plus)
+    raw[..., :h] = 0
+    np.fft.ifft(raw, axis=-1, out=raw)
     return plus, raw, c0
 
 
-def _coefficient_sums(c: np.ndarray):
-    """(sum_{p>0} c_p, sum_p c_p): the plus part and the density at x = infinity."""
-    return c[1:(c.shape[0] + 1) // 2].sum(axis=0), c.sum(axis=0)
+_SUM_BLOCK = 1 << 13  # bins per block of the mode sums
+
+
+def _mode_sums(raw: np.ndarray):
+    """(sum_{p>0} c_p, sum_p c_p) from the DFT bins (last axis), block by block.
+
+    These are the plus part and the density at x = infinity. The twisted
+    modes c_p are formed for one block of bins at a time, so no full-size
+    twisted spectrum is held. Each block is summed along its contiguous
+    last axis, pairwise as numpy sums it, and the block sums are added in
+    order of the bins.
+    """
+    n = raw.shape[-1]
+    h = (n + 1) // 2
+    p = _signed_modes(n)
+    plus = total = None
+    for k in range(0, n, _SUM_BLOCK):
+        c = _twist(raw[..., k:k + _SUM_BLOCK], p[k:k + _SUM_BLOCK], n)
+        block = c.sum(axis=-1)
+        total = block if total is None else total + block
+        lo, hi = max(k, 1) - k, min(k + c.shape[-1], h) - k  # the block's bins with p > 0
+        if lo < hi:
+            part = block if hi - lo == c.shape[-1] else c[..., lo:hi].sum(axis=-1)
+            plus = part if plus is None else plus + part
+    return plus, total
 
 
 def mode_split(samples: np.ndarray):
@@ -79,39 +117,31 @@ def mode_split(samples: np.ndarray):
     twist exp(-i p pi / N) relating DFT bins to circle modes cancels in these
     node-space projections, so only masking is needed.
     """
-    samples = np.asarray(samples, dtype=complex)
-    return _split(np.fft.fft(samples, axis=0))
-
-
-def _circle_coefficients(samples: np.ndarray):
-    """True circle modes c_p (phase twist applied) and their indices p."""
-    samples = np.asarray(samples, dtype=complex)
-    p = _signed_modes(samples.shape[0])
-    raw = np.fft.fft(samples, axis=0)
-    return _twist(raw, p, out=raw), p
+    plus, minus, c0 = _split(_spectrum(samples))
+    return _node_first(plus), _node_first(minus), c0
 
 
 def plus_coefficient_sum(samples: np.ndarray) -> np.ndarray:
     """sum_{p>0} c_p, the value at infinity of the upper boundary function."""
-    return _coefficient_sums(_circle_coefficients(samples)[0])[0]
+    return _mode_sums(_spectrum(samples))[0]
 
 
 def zeroth_mode(samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples, dtype=complex)
-    return samples.mean(axis=0)
+    return _node_last(samples).mean(axis=-1)
 
 
 def limit_estimate(samples: np.ndarray) -> np.ndarray:
     """Trigonometric estimate of the density's limit at x = infinity (theta = 0)."""
-    return _coefficient_sums(_circle_coefficients(samples)[0])[1]
+    return _mode_sums(_spectrum(samples))[1]
 
 
 @dataclass(eq=False)
 class StepModes:
     """What one solver step needs from its density, all from one forward FFT.
 
-    plus, minus and c0 are mode_split's; plus_sum is plus_coefficient_sum's
-    and limit is limit_estimate's, bit for bit.
+    plus, minus and c0 are mode_split's, plus and minus as (N, n, n) views
+    of node-last arrays; plus_sum is plus_coefficient_sum's and limit is
+    limit_estimate's, bit for bit.
     """
 
     plus: np.ndarray
@@ -123,12 +153,10 @@ class StepModes:
 
 def step_modes(samples: np.ndarray) -> StepModes:
     """Transform the samples once and derive the split and both mode sums."""
-    samples = np.asarray(samples, dtype=complex)
-    p = _signed_modes(samples.shape[0])
-    raw = np.fft.fft(samples, axis=0)
-    plus_sum, limit = _coefficient_sums(_twist(raw, p))
+    raw = _spectrum(samples)
+    plus_sum, limit = _mode_sums(raw)
     plus, minus, c0 = _split(raw)
-    return StepModes(plus, minus, c0, plus_sum, limit)
+    return StepModes(_node_first(plus), _node_first(minus), c0, plus_sum, limit)
 
 
 def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
@@ -209,11 +237,14 @@ def _resample_to(m: SampledMatrixFunction, fine: MobiusGrid) -> SampledMatrixFun
     """`resample` onto a finer grid the caller built, so that several functions share it."""
     if m.closed_form is not None:
         return _sample(m.closed_form, fine)
-    c, p = _circle_coefficients(m.samples)
-    big = np.zeros((fine.n_points,) + m.samples.shape[1:], dtype=complex)
-    big[p % fine.n_points] = c * _along_nodes(np.exp(1j * np.pi * p / fine.n_points), c.ndim)
-    vals = np.fft.ifft(big * fine.n_points, axis=0)
-    return SampledMatrixFunction(fine, vals)
+    n, big_n = m.grid.n_points, fine.n_points
+    p = _signed_modes(n)
+    raw = _spectrum(m.samples)
+    c = _twist(raw, p, n, out=raw)
+    big = np.zeros(m.dims + (big_n,), dtype=complex)
+    big[..., p % big_n] = c * np.exp(1j * np.pi * p / big_n)
+    big *= big_n
+    return SampledMatrixFunction.node_last(fine, np.fft.ifft(big, axis=-1, out=big))
 
 
 @dataclass(eq=False)
@@ -245,7 +276,7 @@ class HalfPlaneFunction:
         return val
 
     def value_at_infinity(self) -> np.ndarray:
-        plus_sum, estimate = _coefficient_sums(_circle_coefficients(self.density.samples)[0])
+        plus_sum, estimate = _mode_sums(_spectrum(self.density.samples))
         if self.half_plane == "upper":
             base = plus_sum
         else:

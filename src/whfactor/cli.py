@@ -284,11 +284,10 @@ def _factor_text(phi, grid, result):
         ("h_plus", result.h_plus),
         ("lambda", result.lambda_factor),
     ):
-        s = smf.samples
         for p in range(n):
             for q in range(n):
                 line = f"{_fmt(phi)},%.17g,{name},{p + 1},{q + 1},%.17g,%.17g\n"
-                col = s[:, p, q]
+                col = smf.data[p, q]
                 yield "".join(map(line.__mod__, zip(x, col.real.tolist(), col.imag.tolist())))
 
 

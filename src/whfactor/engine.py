@@ -391,7 +391,7 @@ def run_factorization(
         del modes  # the split halves are dead once the step is solved
         if r == 1:  # M0's own limit; later ones follow the convolution below
             limit = sol.limit
-        if not (np.all(np.isfinite(sol.n_plus.samples)) and np.all(np.isfinite(sol.n_minus.samples))):
+        if not (np.all(np.isfinite(sol.n_plus.data)) and np.all(np.isfinite(sol.n_minus.data))):
             raise NumericalError(f"step {r} produced non-finite factor terms")
         c_total = sol.constant_used - sol.plus_sum
         records.append(
@@ -423,15 +423,16 @@ def run_factorization(
 
     order_reached = len(records)
 
-    eye = np.tile(np.eye(n, dtype=complex), (grid.n_points, 1, 1))
-    colfac = np.conj(grid.w_nodes)[:, None] ** kappas[None, :]
-    hm_samples = eye.copy()
-    hp_samples = eye.copy()
+    # node-last sums, (n, n, N): column q of each N_r- scales by conj(w)^kappa_q
+    colfac = np.conj(grid.w_nodes) ** kappas[:, None]
+    hm_samples = np.zeros((n, n, grid.n_points), dtype=complex)
+    hm_samples[np.arange(n), np.arange(n)] = 1.0
+    hp_samples = hm_samples.copy()
     for rec in records:
-        hm_samples += rec.solution.n_minus.samples * colfac[:, None, :]
-        hp_samples += rec.solution.n_plus.samples
-    h_minus = SampledMatrixFunction(grid, hm_samples)
-    h_plus = SampledMatrixFunction(grid, hp_samples)
+        hm_samples += rec.solution.n_minus.data * colfac
+        hp_samples += rec.solution.n_plus.data
+    h_minus = SampledMatrixFunction.node_last(grid, hm_samples)
+    h_plus = SampledMatrixFunction.node_last(grid, hp_samples)
     lambda_factor = sample(ClosedForm.mobius_power_diag(profile.indices), grid)
 
     diag = None

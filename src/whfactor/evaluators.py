@@ -127,7 +127,7 @@ def _real_exponentials(x: np.ndarray, phases) -> dict:
 
 
 def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
-    """Write each entry of out, (N, n, m), as its sum of terms from zero.
+    """Write each entry of out, (n, m, N), as its sum of terms from zero.
 
     cells[i][j] lists the entry's terms P/Q * e^(i*phase*z) as (key of P,
     key of Q, phase); polys maps a key to the polynomial's values, an array
@@ -136,10 +136,10 @@ def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
     """
     # complex quotients and products never overwrite an operand: numpy
     # rounds some in-place ones (on one-element arrays) differently
-    quot, prod, acc = (np.empty(out.shape[:1], dtype=complex) for _ in range(3))
+    quot, prod, acc = (np.empty(out.shape[-1:], dtype=complex) for _ in range(3))
     for i, row in enumerate(cells):
         for j, cell in enumerate(row):
-            slot = out[:, i, j]
+            slot = out[i, j]
             if not cell:
                 slot[...] = 0
             last = len(cell) - 1
@@ -220,7 +220,9 @@ class ClosedForm:
         on the real array and each |phase| costs one cos/sin pair. Its values
         are those of the complex path, evaluated on the complex copy of z, bit
         for bit. Both paths run over blocks of _BLOCK points, so that their
-        temporaries stay in cache.
+        temporaries stay in cache. The values are stored point-last, as a
+        C-contiguous (n, m) + z.shape array, and returned as its transposed
+        view; SampledMatrixFunction adopts that storage without a copy.
         """
         z = np.asarray(z)
         scalar = z.ndim == 0
@@ -228,8 +230,8 @@ class ClosedForm:
         x = np.asarray(z, dtype=float) if z.dtype.kind in "biuf" else None
         real = x is not None and bool(np.isfinite(x).all())
         pts = (x if real else z.astype(complex)).reshape(-1)
-        out = np.empty(z.shape + self.shape, dtype=complex)
-        flat = out.reshape((-1,) + self.shape)
+        out = np.empty(self.shape + z.shape, dtype=complex)
+        flat = out.reshape(self.shape + (-1,))
         # polynomials are named by their bytes, so that 0.0 and -0.0
         # coefficients stay apart; each distinct one is evaluated once a block
         cells = [[[(_poly_key(t.num), _poly_key(t.den), t.phase) for t in cell] for cell in row]
@@ -245,7 +247,8 @@ class ClosedForm:
             else:
                 polys = {key: npoly.polyval(p, c) for key, c in coeffs.items()}
                 exps = {a: (np.exp(1j * a * p) if a != 0.0 else None) for a in phases}
-            _assemble(flat[k:k + _BLOCK], cells, polys, exps)
+            _assemble(flat[..., k:k + _BLOCK], cells, polys, exps)
+        out = np.moveaxis(out, (0, 1), (-2, -1))
         return out[0] if scalar else out
 
     # -- algebra ---------------------------------------------------------------

@@ -131,41 +131,51 @@ def variant_constant(variant_id: int, phi: float) -> VariantSpec:
 # Grid the route cross-check runs on.  The spectral tail of the example
 # densities folds into every node of a coarse grid, so the check needs a
 # fine one regardless of the grid the caller wants samples on; 2**19 nodes
-# push the median route disagreement below 1e-6 for phi <= 1.
+# push the median route disagreement below 1e-6 for phi <= 1. Lambda0 =
+# diag(w, 1) on it does not depend on phi and is built with it.
 _CHECK_GRID_N = 1 << 19
 _check_grid: Optional[MobiusGrid] = None
+_check_lambda0: Optional[SampledMatrixFunction] = None
 _checked_phis: set = set()
 
 
+def _diag_w_one(g: MobiusGrid) -> SampledMatrixFunction:
+    """Lambda0 = diag(w, 1) on the nodes of g, taken from the grid."""
+    lambda0 = np.zeros((2, 2, g.n_points), dtype=complex)
+    lambda0[0, 0] = g.w_nodes
+    lambda0[1, 1] = 1.0
+    return SampledMatrixFunction.node_last(g, lambda0)
+
+
 def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
-                      c0: np.ndarray, g: MobiusGrid) -> float:
+                      c0: np.ndarray, g: MobiusGrid,
+                      lambda0: Optional[SampledMatrixFunction] = None) -> float:
     """Median over the nodes of g of the largest entry-wise gap between routes.
 
-    M0+ and M0- are sampled once, and Lambda0 = diag(w, 1) is taken from the
-    grid. The quadrature route solves the step for their sum M0; the exact
-    route is N1- = M0- + C0 and N1+ = diag(conj w, 1)(M0+ - C0), built in
-    place in the same two samples. The differences overwrite the solver's
-    factors.
+    M0+ and M0- are sampled once; Lambda0 = diag(w, 1) is built from the
+    grid unless the caller passes it. The quadrature route solves the step
+    for their sum M0; the exact route is N1- = M0- + C0 and
+    N1+ = diag(conj w, 1)(M0+ - C0), built in place in the same two
+    samples. The differences overwrite the solver's factors. All arrays are
+    node-last, (2, 2, N).
     """
-    m0_plus = sample(instance.M0_plus, g).samples
-    m0_minus = sample(instance.M0_minus, g).samples
-    m0 = SampledMatrixFunction(g, m0_plus + m0_minus, instance.M0)
-    lambda0 = np.zeros(m0_plus.shape, dtype=complex)
-    lambda0[:, 0, 0] = g.w_nodes
-    lambda0[:, 1, 1] = 1.0
-    sol_q = rbvp.solve_step(SampledMatrixFunction(g, lambda0), m0, e_full[1:, :])
-    d_plus, d_minus = sol_q.n_plus.samples, sol_q.n_minus.samples
-    del sol_q, m0, lambda0
-    m0_plus -= c0
-    m0_plus[:, 0, :] *= np.conj(g.w_nodes)[:, None]
-    m0_minus += c0
+    m0_plus = sample(instance.M0_plus, g).data
+    m0_minus = sample(instance.M0_minus, g).data
+    m0 = SampledMatrixFunction.node_last(g, m0_plus + m0_minus, instance.M0)
+    if lambda0 is None:
+        lambda0 = _diag_w_one(g)
+    sol_q = rbvp.solve_step(lambda0, m0, e_full[1:, :])
+    d_plus, d_minus = sol_q.n_plus.data, sol_q.n_minus.data
+    del sol_q, m0
+    m0_plus -= c0[..., None]
+    m0_plus[0] *= np.conj(g.w_nodes)
+    m0_minus += c0[..., None]
     d_plus -= m0_plus
     d_minus -= m0_minus
     gap = np.abs(d_plus)
     np.maximum(gap, np.abs(d_minus), out=gap)
-    gap = gap.reshape(g.n_points, 4)  # largest of the four entries, node by node
-    return float(np.median(np.maximum(np.maximum(gap[:, 0], gap[:, 1]),
-                                      np.maximum(gap[:, 2], gap[:, 3]))))
+    gap = gap.reshape(4, g.n_points)  # largest of the four entries, node by node
+    return float(np.median(np.maximum(np.maximum(gap[0], gap[1]), np.maximum(gap[2], gap[3]))))
 
 
 def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
@@ -182,12 +192,13 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     of the exact split M0+, M0-: the solver gets their sum, and the exact
     factors are the two halves shifted by C0 (see _route_gap_median).
     """
-    global _check_grid
+    global _check_grid, _check_lambda0
     if instance.phi in _checked_phis:
         return
     if _check_grid is None:
         _check_grid = MobiusGrid.build(_CHECK_GRID_N)
-    median = _route_gap_median(instance, e_full, c0, _check_grid)
+        _check_lambda0 = _diag_w_one(_check_grid)
+    median = _route_gap_median(instance, e_full, c0, _check_grid, _check_lambda0)
     if median > 1e-6:
         raise ValueError(
             "closed-form and quadrature factor routes disagree "
@@ -293,10 +304,10 @@ def figure_data(variant: Union[int, VariantSpec], phis, grid: MobiusGrid,
     blocks = []
     for phi in phis:
         m1 = first_remainder(vid, phi, grid, cross_check=cross_check)
-        scaled = m1.samples / phi**2
+        scaled = m1.data / phi**2
         for p in range(2):
             for q in range(2):
-                col = scaled[:, p, q]
+                col = scaled[p, q]
                 a = np.abs(col)
                 blocks.append(
                     np.column_stack(

@@ -10,7 +10,7 @@ distance |1/(x1+i) - 1/(x2+i)| = |w1 - w2|/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,63 +57,84 @@ class MobiusGrid:
         return 1.0 / np.tan(np.pi / (2 * int(n_points)))
 
 
-@dataclass(eq=False)
 class SampledMatrixFunction:
-    """n x n matrix function stored as (N, n, n) samples on a MobiusGrid.
+    """n x n matrix function sampled on the N nodes of a MobiusGrid.
+
+    The samples are stored node-last: `data` is one C-contiguous (n, n, N)
+    array, so that products, node sums and FFTs all run along contiguous
+    memory. `samples` is the (N, n, n) transposed view of that storage, and
+    writes to it go through.
+
+    The constructor takes (N, n, n) samples. A transposed view of
+    C-contiguous (n, n, N) memory, such as another instance's `samples` or
+    the values of a ClosedForm, is adopted without a copy; any other layout
+    is copied once. `node_last` takes the (n, n, N) storage itself.
 
     closed_form, when present, is a callable z -> values of the same shape; it
     is carried through the pointwise algebra whenever both operands have one.
     Instances are treated as immutable.
     """
 
-    grid: MobiusGrid
-    samples: np.ndarray
-    closed_form: Optional[Callable] = None
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.ndim != 3 or self.samples.shape[0] != self.grid.n_points:
-            raise ValueError(f"samples must be (N, n, n) with N = {self.grid.n_points}")
-        if self.samples.shape[1] != self.samples.shape[2]:
+    def __init__(self, grid: MobiusGrid, samples, closed_form: Optional[Callable] = None):
+        s = np.asarray(samples)
+        if s.ndim != 3 or s.shape[0] != grid.n_points:
+            raise ValueError(f"samples must be (N, n, n) with N = {grid.n_points}")
+        if s.shape[1] != s.shape[2]:
             raise ValueError("matrix samples must be square")
+        self.grid = grid
+        self.data = np.ascontiguousarray(s.transpose(1, 2, 0), dtype=complex)
+        self.closed_form = closed_form
+
+    @classmethod
+    def node_last(cls, grid: MobiusGrid, data, closed_form: Optional[Callable] = None):
+        """An instance holding the (n, n, N) array data, without a copy when it is C-contiguous."""
+        return cls(grid, np.moveaxis(data, -1, 0), closed_form)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The (N, n, n) view of the node-last storage."""
+        return self.data.transpose(2, 0, 1)
 
     @property
     def dims(self):
-        return self.samples.shape[1:]
+        return self.data.shape[:2]
 
     def _check_grid(self, other: "SampledMatrixFunction"):
         if self.grid is not other.grid and self.grid.n_points != other.grid.n_points:
             raise ValueError("operands live on different grids")
+
+    def _result(self, data, cf) -> "SampledMatrixFunction":
+        return SampledMatrixFunction.node_last(self.grid, data, cf)
 
     def __add__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form + other.closed_form
-        return SampledMatrixFunction(self.grid, self.samples + other.samples, cf)
+        return self._result(self.data + other.data, cf)
 
     def __sub__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form - other.closed_form
-        return SampledMatrixFunction(self.grid, self.samples - other.samples, cf)
+        return self._result(self.data - other.data, cf)
 
     def __neg__(self) -> "SampledMatrixFunction":
         cf = -self.closed_form if self.closed_form is not None else None
-        return SampledMatrixFunction(self.grid, -self.samples, cf)
+        return self._result(-self.data, cf)
 
     def __matmul__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form @ other.closed_form
-        return SampledMatrixFunction(self.grid, node_matmul(self.samples, other.samples), cf)
+        return self._result(_matmul_node_last(self.data, other.data), cf)
 
     def __mul__(self, c) -> "SampledMatrixFunction":
         c = complex(c)
         cf = self.closed_form * c if self.closed_form is not None else None
-        return SampledMatrixFunction(self.grid, self.samples * c, cf)
+        return self._result(self.data * c, cf)
 
     __rmul__ = __mul__
 
@@ -124,50 +145,74 @@ def sample(closed_form: Callable, grid: MobiusGrid) -> SampledMatrixFunction:
         vals = np.asarray(closed_form(grid.x_nodes), dtype=complex)
     if vals.ndim != 3 or vals.shape[0] != grid.n_points:
         raise ValueError("evaluator must return (N, n, n) matrices on the node set")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        j = int(np.argwhere(bad.any(axis=(1, 2)))[0, 0])
+    f = SampledMatrixFunction(grid, vals, closed_form)
+    finite = np.isfinite(f.data)
+    if not finite.all():
+        j = int(np.argmin(finite.all(axis=(0, 1))))
         raise ValueError(f"evaluator returned a non-finite value at node x = {grid.x_nodes[j]!r}")
-    return SampledMatrixFunction(grid, vals, closed_form)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # node-wise kernels
 #
-# Products, determinants and node sums of (N, n, n) samples are written with
+# Products, determinants and node sums of sampled matrices are written with
 # element-wise ufuncs in a fixed order of operations. `@`, np.linalg and
 # np.tensordot hand the same work to BLAS/LAPACK, one call per node for tiny
 # matrices, and round as the kernel the BLAS build picks for the CPU does;
-# these give the same bits on every BLAS build of a given numpy.
+# these give the same bits on every BLAS build of a given numpy. Stacks are
+# taken node axis first, (N, n, m), as `samples` shows them; on `samples`
+# views every call below runs along the contiguous node axis.
+
+
+def _matmul_node_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Node-wise product of (n, k, N) and (k, m, N) arrays into a C-contiguous (n, m, N) one.
+
+    Each entry is a product, then k - 1 products added to it in order of l,
+    one ufunc call along the node axis each.
+    """
+    out = np.empty(a.shape[:1] + b.shape[1:2] + a.shape[2:], dtype=np.result_type(a, b))
+    term = np.empty(out.shape[2:], dtype=out.dtype)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            entry = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=entry)
+            for l in range(1, a.shape[1]):
+                entry += np.multiply(a[i, l], b[l, j], out=term)
+    return out
 
 
 def node_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[..., i, j] = sum_l a[..., i, l] * b[..., l, j], summed for l = 0, 1, ...
 
     Takes two plain matrices, (n, k) and (k, m), or two node stacks,
-    (N, n, k) and (N, k, m).
+    (N, n, k) and (N, k, m). A stack's product is the (N, n, m) view of a
+    node-last (n, m, N) array.
     """
     a, b = np.asarray(a), np.asarray(b)
     if (a.ndim not in (2, 3) or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2] or a.shape[-1] < 1):
         raise ValueError(f"cannot multiply node-wise: shapes {a.shape} and {b.shape}")
-    out = a[..., :, :1] * b[..., :1, :]
+    if a.ndim == 3:
+        return np.moveaxis(_matmul_node_last(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
+    out = a[:, :1] * b[:1, :]
     for l in range(1, a.shape[-1]):
-        out += a[..., :, l:l + 1] * b[..., l:l + 1, :]
+        out += a[:, l:l + 1] * b[l:l + 1, :]
     return out
 
 
 def node_det(a: np.ndarray) -> np.ndarray:
     """Determinant of each (n, n) matrix in a (N, n, n) stack.
 
-    Gaussian elimination with partial pivoting, on all nodes at once. A node
+    Gaussian elimination with partial pivoting, on all nodes at once, in a
+    node-last working copy (a plain copy for a `samples` view). A node
     whose pivot column is all zero is singular: its determinant is exactly
     0 and it is left out of the division, so it never turns into NaN.
     """
     a = np.asarray(a)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise ValueError(f"need a (N, n, n) stack of square matrices, got shape {a.shape}")
-    m = np.array(a.transpose(1, 2, 0), dtype=complex, order="C")  # (n, n, N)
+    m = np.array(np.moveaxis(a, 0, -1), dtype=complex, order="C")  # (n, n, N)
     n = m.shape[0]
     det = np.ones(a.shape[0], dtype=complex)
     for c in range(n):
@@ -190,13 +235,17 @@ def node_det(a: np.ndarray) -> np.ndarray:
 
 
 def node_sum(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * samples[j] over the node axis, for (N,) weights."""
+    """sum_j weights[j] * samples[j] over the node axis, for (N,) weights.
+
+    The sum runs along the node axis moved last; on a `samples` view that
+    axis is contiguous and numpy adds it pairwise.
+    """
     weights, samples = np.asarray(weights), np.asarray(samples)
     if weights.ndim != 1 or samples.shape[:1] != weights.shape:
         raise ValueError(
             f"need (N,) weights for (N, ...) samples, got {weights.shape} and {samples.shape}"
         )
-    return (weights.reshape(weights.shape + (1,) * (samples.ndim - 1)) * samples).sum(axis=0)
+    return (weights * np.moveaxis(samples, 0, -1)).sum(axis=-1)
 
 
 def matrix_norm(a: np.ndarray) -> np.ndarray:

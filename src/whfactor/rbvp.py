@@ -80,7 +80,7 @@ def shift_density(n: SampledMatrixFunction, s: int) -> SampledMatrixFunction:
     cf = None
     if n.closed_form is not None and hasattr(n.closed_form, "mobius_scale"):
         cf = n.closed_form.mobius_scale(-s)
-    return SampledMatrixFunction(n.grid, n.samples * factor[:, None, None], cf)
+    return SampledMatrixFunction.node_last(n.grid, n.data * factor, cf)
 
 
 @dataclass(eq=False)
@@ -135,12 +135,12 @@ class StepSolution:
 
 def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
     """Exponents of a diagonal Lambda0+ whose entries are each 1 or (x-i)/(x+i)."""
-    s = lambda0_plus.samples
-    n = s.shape[1]
+    s = lambda0_plus.data
+    n = s.shape[0]
     for i in range(n):
         for j in range(n):
             # written so that a NaN entry fails the test
-            if i != j and not np.abs(s[:, i, j]).max() <= 1e-12:
+            if i != j and not np.abs(s[i, j]).max() <= 1e-12:
                 raise ValueError("Lambda0+ must be diagonal with finite entries")
     w = lambda0_plus.grid.w_nodes
     # np.allclose(d, target, atol=1e-9) for a finite target, one pass per test:
@@ -151,7 +151,7 @@ def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
     kappas = np.empty(n, dtype=int)
     for j in range(n):
         for kappa, target, tol in targets:
-            np.abs(np.subtract(s[:, j, j], target, out=diff), out=gap)
+            np.abs(np.subtract(s[j, j], target, out=diff), out=gap)
             if np.less_equal(gap, tol).all():
                 kappas[j] = kappa
                 break
@@ -200,27 +200,25 @@ def solve_step(
     e = np.zeros((n, n), dtype=complex)
     e[k:] = free
 
-    if modes is None:
+    own = modes is None  # then the split halves are this call's to overwrite
+    if own:
         modes = cauchy.step_modes(m.samples)
-        n_plus, n_minus = modes.plus, modes.minus  # this call's own split halves
-    else:
-        n_plus, n_minus = modes.plus.copy(), modes.minus.copy()
-    n_plus -= e
-    n_minus += modes.c0
-    n_minus += e
+    # the split halves node-last, (n, n, N); rows are contiguous
+    plus, minus = np.moveaxis(modes.plus, 0, -1), np.moveaxis(modes.minus, 0, -1)
+    n_plus = np.subtract(plus, e[..., None], out=plus if own else None)
+    n_minus = np.add(minus, modes.c0[..., None], out=minus if own else None)
+    n_minus += e[..., None]
     if k:
-        n_plus[:, :k, :] *= np.conj(m.grid.w_nodes)[:, None, None]
+        n_plus[:k] *= np.conj(m.grid.w_nodes)
+    n_plus = SampledMatrixFunction.node_last(m.grid, n_plus)
+    n_minus = SampledMatrixFunction.node_last(m.grid, n_minus)
 
     row_powers = kappas.copy()
-    hp_plus = cauchy.HalfPlaneFunction(
-        "upper", SampledMatrixFunction(m.grid, n_plus), m, -e, sign=1, row_powers=row_powers
-    )
-    hp_minus = cauchy.HalfPlaneFunction(
-        "lower", SampledMatrixFunction(m.grid, n_minus), m, e, sign=-1
-    )
+    hp_plus = cauchy.HalfPlaneFunction("upper", n_plus, m, -e, sign=1, row_powers=row_powers)
+    hp_minus = cauchy.HalfPlaneFunction("lower", n_minus, m, e, sign=-1)
     return StepSolution(
-        n_plus=SampledMatrixFunction(m.grid, n_plus),
-        n_minus=SampledMatrixFunction(m.grid, n_minus),
+        n_plus=n_plus,
+        n_minus=n_minus,
         constant_used=e,
         kappas=kappas,
         hp_plus=hp_plus,

@@ -203,6 +203,27 @@ def test_route_cross_check_samples_only_the_split(monkeypatch):
     assert solver_calls == [(3, {})]
 
 
+def test_route_cross_check_builds_lambda0_once_per_grid(monkeypatch):
+    # Lambda0 = diag(w, 1) does not depend on phi: the check grid's one
+    # build serves every phi checked on it
+    monkeypatch.setattr(example2x2, "_check_grid", None)
+    monkeypatch.setattr(example2x2, "_check_lambda0", None)
+    monkeypatch.setattr(example2x2, "_checked_phis", set())
+    built = []
+    real_build = example2x2._diag_w_one
+
+    def recording_build(g):
+        built.append(g)
+        return real_build(g)
+
+    monkeypatch.setattr(example2x2, "_diag_w_one", recording_build)
+    for phi in (0.31, 0.17):
+        inst = example2x2.build_example(phi)
+        example2x2.first_step_factors(inst, example2x2.variant_constant(1, phi), MobiusGrid.build(64))
+    assert built == [example2x2._check_grid]
+    assert example2x2._checked_phis == {0.31, 0.17}
+
+
 def test_figure_data_table():
     g = MobiusGrid.build(64)
     phis = [0.3, 0.1]
