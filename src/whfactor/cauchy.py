@@ -45,10 +45,6 @@ def _node_last(samples) -> np.ndarray:
     return np.moveaxis(np.asarray(samples, dtype=complex), 0, -1)
 
 
-def _node_first(a: np.ndarray) -> np.ndarray:
-    return np.moveaxis(a, -1, 0)
-
-
 def _spectrum(samples) -> np.ndarray:
     """DFT bins of (N, ...) samples along the node axis, as a C-contiguous (..., N) array."""
     x = _node_last(samples)
@@ -118,7 +114,7 @@ def mode_split(samples: np.ndarray):
     node-space projections, so only masking is needed.
     """
     plus, minus, c0 = _split(_spectrum(samples))
-    return _node_first(plus), _node_first(minus), c0
+    return np.moveaxis(plus, -1, 0), np.moveaxis(minus, -1, 0), c0
 
 
 def plus_coefficient_sum(samples: np.ndarray) -> np.ndarray:
@@ -156,7 +152,7 @@ def step_modes(samples: np.ndarray) -> StepModes:
     raw = _spectrum(samples)
     plus_sum, limit = _mode_sums(raw)
     plus, minus, c0 = _split(raw)
-    return StepModes(_node_first(plus), _node_first(minus), c0, plus_sum, limit)
+    return StepModes(np.moveaxis(plus, -1, 0), np.moveaxis(minus, -1, 0), c0, plus_sum, limit)
 
 
 def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ quadrature path can be cross-checked against them route by route.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -131,16 +132,19 @@ def variant_constant(variant_id: int, phi: float) -> VariantSpec:
 # Grid the route cross-check runs on.  The spectral tail of the example
 # densities folds into every node of a coarse grid, so the check needs a
 # fine one regardless of the grid the caller wants samples on; 2**19 nodes
-# push the median route disagreement below 1e-6 for phi <= 1. Lambda0 =
-# diag(w, 1) on it does not depend on phi and is built with it.
+# push the median route disagreement below 1e-6 for phi <= 1.
 _CHECK_GRID_N = 1 << 19
 _check_grid: Optional[MobiusGrid] = None
-_check_lambda0: Optional[SampledMatrixFunction] = None
 _checked_phis: set = set()
 
 
+@functools.lru_cache(maxsize=1)
 def _diag_w_one(g: MobiusGrid) -> SampledMatrixFunction:
-    """Lambda0 = diag(w, 1) on the nodes of g, taken from the grid."""
+    """Lambda0 = diag(w, 1) on the nodes of g, taken from the grid.
+
+    It does not depend on phi, so the last grid's Lambda0 is kept and serves
+    every phi checked on it (grids hash by identity).
+    """
     lambda0 = np.zeros((2, 2, g.n_points), dtype=complex)
     lambda0[0, 0] = g.w_nodes
     lambda0[1, 1] = 1.0
@@ -148,23 +152,19 @@ def _diag_w_one(g: MobiusGrid) -> SampledMatrixFunction:
 
 
 def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
-                      c0: np.ndarray, g: MobiusGrid,
-                      lambda0: Optional[SampledMatrixFunction] = None) -> float:
+                      c0: np.ndarray, g: MobiusGrid) -> float:
     """Median over the nodes of g of the largest entry-wise gap between routes.
 
-    M0+ and M0- are sampled once; Lambda0 = diag(w, 1) is built from the
-    grid unless the caller passes it. The quadrature route solves the step
-    for their sum M0; the exact route is N1- = M0- + C0 and
-    N1+ = diag(conj w, 1)(M0+ - C0), built in place in the same two
-    samples. The differences overwrite the solver's factors. All arrays are
-    node-last, (2, 2, N).
+    M0+ and M0- are sampled once, and Lambda0 = diag(w, 1) is taken from the
+    grid. The quadrature route solves the step for their sum M0; the exact
+    route is N1- = M0- + C0 and N1+ = diag(conj w, 1)(M0+ - C0), built in
+    place in the same two samples. The differences overwrite the solver's
+    factors. All arrays are node-last, (2, 2, N).
     """
     m0_plus = sample(instance.M0_plus, g).data
     m0_minus = sample(instance.M0_minus, g).data
     m0 = SampledMatrixFunction.node_last(g, m0_plus + m0_minus, instance.M0)
-    if lambda0 is None:
-        lambda0 = _diag_w_one(g)
-    sol_q = rbvp.solve_step(lambda0, m0, e_full[1:, :])
+    sol_q = rbvp.solve_step(_diag_w_one(g), m0, e_full[1:, :])
     d_plus, d_minus = sol_q.n_plus.data, sol_q.n_minus.data
     del sol_q, m0
     m0_plus -= c0[..., None]
@@ -192,13 +192,12 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     of the exact split M0+, M0-: the solver gets their sum, and the exact
     factors are the two halves shifted by C0 (see _route_gap_median).
     """
-    global _check_grid, _check_lambda0
+    global _check_grid
     if instance.phi in _checked_phis:
         return
     if _check_grid is None:
         _check_grid = MobiusGrid.build(_CHECK_GRID_N)
-        _check_lambda0 = _diag_w_one(_check_grid)
-    median = _route_gap_median(instance, e_full, c0, _check_grid, _check_lambda0)
+    median = _route_gap_median(instance, e_full, c0, _check_grid)
     if median > 1e-6:
         raise ValueError(
             "closed-form and quadrature factor routes disagree "

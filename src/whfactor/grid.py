@@ -103,38 +103,36 @@ class SampledMatrixFunction:
         if self.grid is not other.grid and self.grid.n_points != other.grid.n_points:
             raise ValueError("operands live on different grids")
 
-    def _result(self, data, cf) -> "SampledMatrixFunction":
-        return SampledMatrixFunction.node_last(self.grid, data, cf)
-
     def __add__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form + other.closed_form
-        return self._result(self.data + other.data, cf)
+        return SampledMatrixFunction.node_last(self.grid, self.data + other.data, cf)
 
     def __sub__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form - other.closed_form
-        return self._result(self.data - other.data, cf)
+        return SampledMatrixFunction.node_last(self.grid, self.data - other.data, cf)
 
     def __neg__(self) -> "SampledMatrixFunction":
         cf = -self.closed_form if self.closed_form is not None else None
-        return self._result(-self.data, cf)
+        return SampledMatrixFunction.node_last(self.grid, -self.data, cf)
 
     def __matmul__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
         cf = None
         if self.closed_form is not None and other.closed_form is not None:
             cf = self.closed_form @ other.closed_form
-        return self._result(_matmul_node_last(self.data, other.data), cf)
+        product = _matmul_node_last(self.data, other.data)
+        return SampledMatrixFunction.node_last(self.grid, product, cf)
 
     def __mul__(self, c) -> "SampledMatrixFunction":
         c = complex(c)
         cf = self.closed_form * c if self.closed_form is not None else None
-        return self._result(self.data * c, cf)
+        return SampledMatrixFunction.node_last(self.grid, self.data * c, cf)
 
     __rmul__ = __mul__
 
@@ -187,7 +185,7 @@ def node_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Takes two plain matrices, (n, k) and (k, m), or two node stacks,
     (N, n, k) and (N, k, m). A stack's product is the (N, n, m) view of a
-    node-last (n, m, N) array.
+    node-last (n, m, N) array; plain matrices run as a single node.
     """
     a, b = np.asarray(a), np.asarray(b)
     if (a.ndim not in (2, 3) or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
@@ -195,10 +193,7 @@ def node_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot multiply node-wise: shapes {a.shape} and {b.shape}")
     if a.ndim == 3:
         return np.moveaxis(_matmul_node_last(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
-    out = a[:, :1] * b[:1, :]
-    for l in range(1, a.shape[-1]):
-        out += a[:, l:l + 1] * b[l:l + 1, :]
-    return out
+    return _matmul_node_last(a[..., None], b[..., None])[..., 0]
 
 
 def node_det(a: np.ndarray) -> np.ndarray:

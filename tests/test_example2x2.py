@@ -207,20 +207,25 @@ def test_route_cross_check_builds_lambda0_once_per_grid(monkeypatch):
     # Lambda0 = diag(w, 1) does not depend on phi: the check grid's one
     # build serves every phi checked on it
     monkeypatch.setattr(example2x2, "_check_grid", None)
-    monkeypatch.setattr(example2x2, "_check_lambda0", None)
     monkeypatch.setattr(example2x2, "_checked_phis", set())
-    built = []
-    real_build = example2x2._diag_w_one
+    example2x2._diag_w_one.cache_clear()
+    lambdas = []
+    real_solve = rbvp.solve_step
 
-    def recording_build(g):
-        built.append(g)
-        return real_build(g)
+    def recording_solve(lambda0, *args):
+        lambdas.append(lambda0)
+        return real_solve(lambda0, *args)
 
-    monkeypatch.setattr(example2x2, "_diag_w_one", recording_build)
+    monkeypatch.setattr(rbvp, "solve_step", recording_solve)
     for phi in (0.31, 0.17):
         inst = example2x2.build_example(phi)
         example2x2.first_step_factors(inst, example2x2.variant_constant(1, phi), MobiusGrid.build(64))
-    assert built == [example2x2._check_grid]
+    assert len(lambdas) == 2 and lambdas[0] is lambdas[1]
+    g = example2x2._check_grid
+    assert lambdas[0].grid is g
+    assert np.array_equal(lambdas[0].data[0, 0], g.w_nodes)
+    assert np.array_equal(lambdas[0].data[1, 1], np.ones(g.n_points))
+    assert not lambdas[0].data[0, 1].any() and not lambdas[0].data[1, 0].any()
     assert example2x2._checked_phis == {0.31, 0.17}
 
 
