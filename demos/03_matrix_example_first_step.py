@@ -44,7 +44,7 @@ for vid in range(4):
 
     print(f"\nvariant {vid}:")
     print(f"  C0 =\n{np.array2string(vs.c0, precision=4)}")
-    print(f"  constant row 0 is zero: {np.abs(sol.constant_used[0]).max():.1e}")
+    print(f"  constant row 0 is zero: {np.abs(sol.constant[0]).max():.1e}")
     print(f"  boundary defect at nodes: {defect:.2e}")
     print(f"  N1+(inf) + C0: {np.abs(lim_p + vs.c0).max():.2e}"
           f"   N1-(inf) - C0: {np.abs(lim_m - vs.c0).max():.2e}")

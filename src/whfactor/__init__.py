@@ -8,62 +8,30 @@ corrected Cauchy operators split densities into half-plane parts, scalar and
 matrix boundary problems are solved per order, and the factor series is
 assembled with residual and convergence diagnostics. A fully closed-form 2x2
 oscillatory family serves as ground truth.
+
+The package namespace holds the names the README and the demos use, the
+exception classes and `Step`; everything else is reached through its
+module (`whfactor.cauchy`, `whfactor.engine`, ...).
 """
 
-from .cauchy import (
-    AccuracyError,
-    HalfPlaneFunction,
-    boundary_pair,
-    cauchy_off_line,
-    mode_split,
-    resample,
-    singular_S0,
-    solve_jump,
-)
+from .cauchy import AccuracyError, cauchy_off_line, mode_split
 from .engine import (
-    ConvergenceDiagnostics,
-    FactorizationResult,
     NumericalError,
-    StepState,
     alpha_coefficients,
     build_lambda0,
     c_mu_lower_bound,
     check_factor_conditions,
     convergence_constant,
-    convergence_from_norm,
-    next_remainder,
     run_factorization,
 )
-from .evaluators import ClosedForm, Term
-from .example2x2 import (
-    ExampleInstance,
-    VariantSpec,
-    build_example,
-    figure_data,
-    first_remainder,
-    first_step_factors,
-    variant_constant,
-)
-from .grid import (
-    HoelderEstimate,
-    MobiusGrid,
-    SampledMatrixFunction,
-    hoelder_norm,
-    matrix_norm,
-    mobius_forward,
-    mobius_inverse,
-    sample,
-    sup_norm,
-)
+from .example2x2 import build_example, first_remainder, first_step_factors, variant_constant
+from .grid import MobiusGrid, SampledMatrixFunction, sample
 from .rbvp import (
     ForcedConstantError,
-    PartialIndexProfile,
-    StepSolution,
+    Step,
     UnstableIndicesError,
-    shift_density,
     solve_scalar_index0,
     solve_scalar_index1,
-    solve_step,
     split_indices,
 )
 
@@ -71,50 +39,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "ClosedForm",
-    "ConvergenceDiagnostics",
-    "ExampleInstance",
-    "FactorizationResult",
     "ForcedConstantError",
-    "HalfPlaneFunction",
-    "HoelderEstimate",
     "MobiusGrid",
     "NumericalError",
-    "PartialIndexProfile",
     "SampledMatrixFunction",
-    "StepSolution",
-    "StepState",
-    "Term",
+    "Step",
     "UnstableIndicesError",
-    "VariantSpec",
     "alpha_coefficients",
-    "boundary_pair",
     "build_example",
     "build_lambda0",
     "c_mu_lower_bound",
     "cauchy_off_line",
     "check_factor_conditions",
     "convergence_constant",
-    "convergence_from_norm",
-    "figure_data",
     "first_remainder",
     "first_step_factors",
-    "hoelder_norm",
-    "matrix_norm",
-    "mobius_forward",
-    "mobius_inverse",
     "mode_split",
-    "next_remainder",
-    "resample",
     "run_factorization",
     "sample",
-    "shift_density",
-    "singular_S0",
-    "solve_jump",
     "solve_scalar_index0",
     "solve_scalar_index1",
-    "solve_step",
     "split_indices",
-    "sup_norm",
     "variant_constant",
 ]

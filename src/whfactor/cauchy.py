@@ -19,8 +19,6 @@ accurate once z keeps clear of the sampled axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .grid import MobiusGrid, SampledMatrixFunction, node_sum, sample as _sample
@@ -122,10 +120,6 @@ def plus_coefficient_sum(samples: np.ndarray) -> np.ndarray:
     return _mode_sums(_spectrum(samples))[0]
 
 
-def zeroth_mode(samples: np.ndarray) -> np.ndarray:
-    return _node_last(samples).mean(axis=-1)
-
-
 def limit_estimate(samples: np.ndarray) -> np.ndarray:
     """Trigonometric estimate of the density's limit at x = infinity (theta = 0)."""
     return _mode_sums(_spectrum(samples))[1]
@@ -168,18 +162,6 @@ def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndar
         except ValueError:
             pass
     return np.asarray(estimate, dtype=complex)
-
-
-def boundary_pair(m: SampledMatrixFunction):
-    """Boundary values (Omega0+, Omega0-) of the corrected Cauchy integral.
-
-    Omega+ - Omega- = m holds at every node by construction, and
-    2*Omega+- = +-m + S0[m].
-    """
-    plus, minus, c0 = mode_split(m.samples)
-    om_plus = SampledMatrixFunction(m.grid, plus)
-    om_minus = SampledMatrixFunction(m.grid, -minus - c0)
-    return om_plus, om_minus
 
 
 def singular_S0(m: SampledMatrixFunction) -> SampledMatrixFunction:
@@ -241,76 +223,6 @@ def _resample_to(m: SampledMatrixFunction, fine: MobiusGrid) -> SampledMatrixFun
     big[..., p % big_n] = c * np.exp(1j * np.pi * p / big_n)
     big *= big_n
     return SampledMatrixFunction.node_last(fine, np.fft.ifft(big, axis=-1, out=big))
-
-
-@dataclass(eq=False)
-class HalfPlaneFunction:
-    """Analytic matrix function on one half-plane.
-
-    Represents diag(v^(-row_powers)) * (sign * Omega0[density](z) + constant_shift)
-    with v = (z-i)/(z+i); boundary holds its trace on the grid nodes. The
-    canonical shift (zero matrix) on the upper side vanishes at z = i.
-    """
-
-    half_plane: str  # "upper" or "lower"
-    boundary: SampledMatrixFunction
-    density: SampledMatrixFunction
-    constant_shift: np.ndarray
-    sign: int = 1
-    row_powers: Optional[np.ndarray] = None
-
-    def evaluate(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if self.half_plane == "upper" and z.imag <= 0:
-            raise ValueError("function is analytic in the upper half-plane only")
-        if self.half_plane == "lower" and z.imag >= 0:
-            raise ValueError("function is analytic in the lower half-plane only")
-        val = self.sign * cauchy_off_line(self.density, z) + self.constant_shift
-        if self.row_powers is not None and np.any(self.row_powers):
-            u = (z + 1j) / (z - 1j)  # 1/v, finite away from z = i
-            val = (u ** np.asarray(self.row_powers))[:, None] * val
-        return val
-
-    def value_at_infinity(self) -> np.ndarray:
-        plus_sum, estimate = _mode_sums(_spectrum(self.density.samples))
-        if self.half_plane == "upper":
-            base = plus_sum
-        else:
-            base = plus_sum - limit_or_estimate(self.density, estimate)
-        return self.sign * base + self.constant_shift
-
-
-@dataclass(eq=False)
-class JumpSolution:
-    a_plus: HalfPlaneFunction
-    a_minus: HalfPlaneFunction
-    constant: np.ndarray
-
-
-def solve_jump(m: SampledMatrixFunction, c) -> JumpSolution:
-    """Additive jump problem A+ + A- = m with A+ = Omega0+[m] - C, A- = -Omega0-[m] + C.
-
-    The boundary sum reproduces m exactly at the nodes for every C.
-    """
-    c = np.asarray(c, dtype=complex)
-    if c.shape != m.dims:
-        raise ValueError(f"constant must have shape {m.dims}")
-    plus, minus, c0 = mode_split(m.samples)
-    a_plus = HalfPlaneFunction(
-        "upper",
-        SampledMatrixFunction(m.grid, plus - c),
-        m,
-        -c,
-        sign=1,
-    )
-    a_minus = HalfPlaneFunction(
-        "lower",
-        SampledMatrixFunction(m.grid, minus + c0 + c),
-        m,
-        c,
-        sign=-1,
-    )
-    return JumpSolution(a_plus, a_minus, c)
 
 
 def reference_densities():

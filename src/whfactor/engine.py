@@ -37,7 +37,14 @@ from .grid import (
     sample,
     sup_norm,
 )
-from .rbvp import PartialIndexProfile, detect_kappas, solve_step, split_indices
+from .rbvp import (
+    PartialIndexProfile,
+    Step,
+    _in_half_plane,
+    detect_kappas,
+    solve_step,
+    split_indices,
+)
 
 
 class NumericalError(RuntimeError):
@@ -106,33 +113,20 @@ def _as_strategy(strategy, explicit_constants=None):
 # remainder recurrence
 
 
-@dataclass(eq=False)
-class StepState:
-    """Everything accumulated after `order` solved steps.
+def next_remainder(steps: Sequence[Step]) -> SampledMatrixFunction:
+    """M_r = -sum_{j=1..r} N_j- N_{r+1-j}+ node-wise, r = len(steps).
 
-    remainders[0] is the driving M0; remainders[r] for r >= 1 is the
-    right-hand side produced after step r.
+    The products are added in place into the first one, in order of j, and
+    the sum is negated in place: the adds of the plain sum, so its bits.
+    Solver terms carry no closed form, and the result carries none.
     """
-
-    order: int
-    n_plus_terms: list
-    n_minus_terms: list
-    remainders: list
-    constants: list
-
-
-def next_remainder(state: StepState) -> SampledMatrixFunction:
-    """M_r = -sum_{j=1..r} N_j- N_{r+1-j}+ node-wise, r = state.order."""
-    r = state.order
+    r = len(steps)
     if r < 1:
         raise ValueError("need at least one solved step")
-    if len(state.n_plus_terms) < r or len(state.n_minus_terms) < r:
-        raise ValueError(f"state holds fewer than {r} factor terms")
-    acc = None
-    for j in range(1, r + 1):
-        term = state.n_minus_terms[j - 1] @ state.n_plus_terms[r - j]
-        acc = term if acc is None else acc + term
-    return -acc
+    acc = (steps[0].n_minus @ steps[r - 1].n_plus).data
+    for j in range(2, r + 1):
+        acc += (steps[j - 1].n_minus @ steps[r - j].n_plus).data
+    return SampledMatrixFunction.node_last(steps[0].n_plus.grid, np.negative(acc, out=acc))
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +210,6 @@ def c_mu_lower_bound(grid: MobiusGrid, mu: float) -> float:
 # the driver
 
 
-@dataclass(eq=False)
-class StepRecord:
-    r: int
-    solution: object
-    constant: np.ndarray
-    c_total: np.ndarray
-    c0: np.ndarray
-    plus_sum: np.ndarray
-    limit: np.ndarray
-    sup_remainder: float
-    sup_n_plus: float
-    sup_n_minus: float
-
-
 @dataclass(frozen=True)
 class FactorConditionReport:
     unit_column_defect: float
@@ -265,15 +245,15 @@ class FactorizationResult:
     def h_plus_infinity(self) -> np.ndarray:
         n = self.profile.n
         total = np.eye(n, dtype=complex)
-        for rec in self.steps:
-            total = total - rec.c_total
+        for step in self.steps:
+            total = total + step.plus_at_infinity()
         return total
 
     def h_minus_infinity(self) -> np.ndarray:
         n = self.profile.n
         total = np.eye(n, dtype=complex)
-        for rec in self.steps:
-            total = total + rec.limit + rec.c_total
+        for step in self.steps:
+            total = total + step.limit + step.c_total
         return total
 
     def h_minus_at_minus_i(self) -> np.ndarray:
@@ -282,25 +262,23 @@ class FactorizationResult:
         scale = np.ones(n)
         scale[:k] = 0.0
         total = np.eye(n, dtype=complex)
-        for rec in self.steps:
-            total = total + (rec.c0 + rec.constant) * scale[None, :]
+        for step in self.steps:
+            total = total + (step.c0 + step.constant) * scale[None, :]
         return total
 
     def evaluate_h_plus(self, z: complex) -> np.ndarray:
-        n = self.profile.n
-        total = np.eye(n, dtype=complex)
-        for rec in self.steps:
-            total = total + rec.solution.hp_plus.evaluate(z)
+        z = _in_half_plane(z, upper=True)
+        total = np.eye(self.profile.n, dtype=complex)
+        for step in self.steps:
+            total = total + step.evaluate_plus(z)
         return total
 
     def evaluate_h_minus(self, z: complex) -> np.ndarray:
-        n = self.profile.n
-        z = complex(z)
-        u = (z + 1j) / (z - 1j)
-        colfac = u ** self.profile.shifted_kappas()
-        total = np.eye(n, dtype=complex)
-        for rec in self.steps:
-            total = total + rec.solution.hp_minus.evaluate(z) * colfac[None, :]
+        z = _in_half_plane(z, upper=False)
+        colfac = ((z + 1j) / (z - 1j)) ** self.profile.shifted_kappas()
+        total = np.eye(self.profile.n, dtype=complex)
+        for step in self.steps:
+            total = total + step.evaluate_minus(z) * colfac[None, :]
         return total
 
     def residual_sup_at(self, refine: int = 1) -> float:
@@ -367,8 +345,7 @@ def run_factorization(
             f"the profile needs {tuple(profile.shifted_kappas())}"
         )
 
-    state = StepState(0, [], [], [m0], [])
-    records = []
+    steps = []
     current = m0
     for r in range(1, order + 1):
         sup_m = sup_norm(current)
@@ -377,7 +354,7 @@ def run_factorization(
         if sup_m < atol:
             break
         modes = cauchy.step_modes(current.samples)  # the step's only forward FFT
-        # the strategy gets its own copy: modes.plus_sum goes into the step record
+        # the strategy gets its own copy: modes.plus_sum goes into the step
         block = np.asarray(
             strat.free_block(r, current, profile, modes.plus_sum.copy()), dtype=complex
         )
@@ -387,50 +364,29 @@ def run_factorization(
             )
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"strategy returned non-finite constants at step {r}")
-        sol = solve_step(lambda0, current, block, modes, kappas)
+        step = solve_step(current, kappas, block, modes)
         del modes  # the split halves are dead once the step is solved
-        if r == 1:  # M0's own limit; later ones follow the convolution below
-            limit = sol.limit
-        if not (np.all(np.isfinite(sol.n_plus.data)) and np.all(np.isfinite(sol.n_minus.data))):
+        if not (np.all(np.isfinite(step.n_plus.data)) and np.all(np.isfinite(step.n_minus.data))):
             raise NumericalError(f"step {r} produced non-finite factor terms")
-        c_total = sol.constant_used - sol.plus_sum
-        records.append(
-            StepRecord(
-                r=r,
-                solution=sol,
-                constant=sol.constant_used,
-                c_total=c_total,
-                c0=sol.c0,
-                plus_sum=sol.plus_sum,
-                limit=limit,
-                sup_remainder=sup_m,
-                sup_n_plus=sup_norm(sol.n_plus),
-                sup_n_minus=sup_norm(sol.n_minus),
-            )
-        )
-        state.order = r
-        state.n_plus_terms.append(sol.n_plus)
-        state.n_minus_terms.append(sol.n_minus)
-        state.constants.append(sol.constant_used)
+        step.r, step.sup_remainder = r, sup_m
+        if r > 1:  # M0's own limit stays; later ones follow the convolution below
+            step.limit = limit
+        steps.append(step)
         if r < order:
-            current = next_remainder(state)
-            state.remainders.append(current)
+            current = next_remainder(steps)
             # limits obey the same convolution as the remainders
             limit = np.zeros((n, n), dtype=complex)
             for j in range(1, r + 1):
-                lj = records[j - 1].limit + records[j - 1].c_total
-                limit = limit + node_matmul(lj, records[r - j].c_total)
-
-    order_reached = len(records)
+                limit = limit + node_matmul(steps[j - 1].minus_at_infinity(), steps[r - j].c_total)
 
     # node-last sums, (n, n, N): column q of each N_r- scales by conj(w)^kappa_q
     colfac = np.conj(grid.w_nodes) ** kappas[:, None]
     hm_samples = np.zeros((n, n, grid.n_points), dtype=complex)
     hm_samples[np.arange(n), np.arange(n)] = 1.0
     hp_samples = hm_samples.copy()
-    for rec in records:
-        hm_samples += rec.solution.n_minus.data * colfac
-        hp_samples += rec.solution.n_plus.data
+    for step in steps:
+        hm_samples += step.n_minus.data * colfac
+        hp_samples += step.n_plus.data
     h_minus = SampledMatrixFunction.node_last(grid, hm_samples)
     h_plus = SampledMatrixFunction.node_last(grid, hp_samples)
     lambda_factor = sample(ClosedForm.mobius_power_diag(profile.indices), grid)
@@ -439,19 +395,19 @@ def run_factorization(
     want_diag = convergence if convergence is not None else grid.n_points <= 8192
     if want_diag:
         diag = convergence_constant(m0, mu, c_mu)
-        diag.per_step_norms = tuple((rec.sup_n_plus, rec.sup_n_minus) for rec in records)
+        diag.per_step_norms = tuple((step.sup_n_plus, step.sup_n_minus) for step in steps)
 
     result = FactorizationResult(
         grid=grid,
         profile=profile,
         strategy_name=getattr(strat, "name", type(strat).__name__),
         order=order,
-        order_reached=order_reached,
+        order_reached=len(steps),
         h_minus=h_minus,
         h_plus=h_plus,
         lambda_factor=lambda_factor,
         residual_sup=0.0,
-        steps=records,
+        steps=steps,
         diagnostics=diag,
         lambda0=lambda0,
         m0=m0,

@@ -20,14 +20,13 @@ quadrature path can be cross-checked against them route by route.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from . import cauchy, rbvp
+from . import rbvp
 from .evaluators import ClosedForm, Term
 from .grid import MobiusGrid, SampledMatrixFunction, node_matmul, sample
 
@@ -134,29 +133,17 @@ def variant_constant(variant_id: int, phi: float) -> VariantSpec:
 # fine one regardless of the grid the caller wants samples on; 2**19 nodes
 # push the median route disagreement below 1e-6 for phi <= 1.
 _CHECK_GRID_N = 1 << 19
+_KAPPAS = np.array([1, 0])  # the exponents of Lambda0 = diag(w, 1)
 _check_grid: Optional[MobiusGrid] = None
 _checked_phis: set = set()
-
-
-@functools.lru_cache(maxsize=1)
-def _diag_w_one(g: MobiusGrid) -> SampledMatrixFunction:
-    """Lambda0 = diag(w, 1) on the nodes of g, taken from the grid.
-
-    It does not depend on phi, so the last grid's Lambda0 is kept and serves
-    every phi checked on it (grids hash by identity).
-    """
-    lambda0 = np.zeros((2, 2, g.n_points), dtype=complex)
-    lambda0[0, 0] = g.w_nodes
-    lambda0[1, 1] = 1.0
-    return SampledMatrixFunction.node_last(g, lambda0)
 
 
 def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
                       c0: np.ndarray, g: MobiusGrid) -> float:
     """Median over the nodes of g of the largest entry-wise gap between routes.
 
-    M0+ and M0- are sampled once, and Lambda0 = diag(w, 1) is taken from the
-    grid. The quadrature route solves the step for their sum M0; the exact
+    M0+ and M0- are sampled once. The quadrature route solves the step for
+    their sum M0, with the known exponents (1, 0) of Lambda0; the exact
     route is N1- = M0- + C0 and N1+ = diag(conj w, 1)(M0+ - C0), built in
     place in the same two samples. The differences overwrite the solver's
     factors. All arrays are node-last, (2, 2, N).
@@ -164,7 +151,7 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
     m0_plus = sample(instance.M0_plus, g).data
     m0_minus = sample(instance.M0_minus, g).data
     m0 = SampledMatrixFunction.node_last(g, m0_plus + m0_minus, instance.M0)
-    sol_q = rbvp.solve_step(_diag_w_one(g), m0, e_full[1:, :])
+    sol_q = rbvp.solve_step(m0, _KAPPAS, e_full[1:, :])
     d_plus, d_minus = sol_q.n_plus.data, sol_q.n_minus.data
     del sol_q, m0
     m0_plus -= c0[..., None]
@@ -212,7 +199,7 @@ def first_step_factors(
     variant: VariantSpec,
     grid: Optional[MobiusGrid] = None,
     cross_check: bool = True,
-) -> rbvp.StepSolution:
+) -> rbvp.Step:
     """First factor terms from the closed-form split, with a quadrature cross-check.
 
     The returned samples and closed forms come from the exact route; the
@@ -221,7 +208,7 @@ def first_step_factors(
     must agree. Agreement is judged on an internal fine grid by the median
     node-wise gap, which isolates convention faults from the folded spectral
     tail of the discrete split; see _cross_check_routes. Infinity data on the
-    returned solution is exact.
+    returned step is exact.
     """
     if grid is None:
         grid = MobiusGrid.build(2048)
@@ -238,26 +225,15 @@ def first_step_factors(
 
     n1p_cf = ClosedForm.mobius_power_diag((-1, 0)) @ (instance.M0_plus - ClosedForm.constant(c0))
     n1m_cf = instance.M0_minus + ClosedForm.constant(c0)
-    n_plus = sample(n1p_cf, grid)
-    n_minus = sample(n1m_cf, grid)
-
     m0_smf = sample(instance.M0, grid)
-
-    kappas = np.array([1, 0])
-    plus_sum = -psi_b0  # exact plus-part value at infinity of the split density
-    hp_plus = cauchy.HalfPlaneFunction(
-        "upper", n_plus, m0_smf, -e_full, sign=1, row_powers=kappas
-    )
-    hp_minus = cauchy.HalfPlaneFunction("lower", n_minus, m0_smf, e_full, sign=-1)
-    return rbvp.StepSolution(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        constant_used=e_full,
-        kappas=kappas,
-        hp_plus=hp_plus,
-        hp_minus=hp_minus,
-        c0=cauchy.zeroth_mode(m0_smf.samples),
-        plus_sum=plus_sum,
+    return rbvp.Step(
+        n_plus=sample(n1p_cf, grid),
+        n_minus=sample(n1m_cf, grid),
+        constant=e_full,
+        kappas=_KAPPAS.copy(),
+        density=m0_smf,
+        c0=m0_smf.data.mean(axis=-1),
+        plus_sum=-psi_b0,  # exact plus-part value at infinity of the split density
         limit=np.zeros((2, 2), dtype=complex),
     )
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import cauchy
-from .grid import MobiusGrid, SampledMatrixFunction
+from .grid import MobiusGrid, SampledMatrixFunction, node_sum, sup_norm
 
 
 class UnstableIndicesError(ValueError):
@@ -84,53 +84,100 @@ def shift_density(n: SampledMatrixFunction, s: int) -> SampledMatrixFunction:
 
 
 @dataclass(eq=False)
-class ScalarSolution:
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    constant: complex
-    kappa: int
+class Step:
+    """One order of the scheme: the solution of Lambda0+ N+ + N- = M, Lambda0+ = diag(w^kappas).
+
+    n_plus and n_minus are N+ and N- at the nodes; constant is the full
+    n x n constant, its rows with exponent 1 zero; density is the M solved.
+    c0, plus_sum and limit are M's zero mode, sum_{p>0} c_p and limit at
+    x = infinity (the driver replaces the estimate of a remainder's limit by
+    the value propagated from M0's). r and sup_remainder (sup |M|) are set
+    by the driver. Off the line, N+ = diag(v^(-kappas)) (Omega0[M] - constant)
+    and N- = constant - Omega0[M], v = (z-i)/(z+i).
+    """
+
+    n_plus: SampledMatrixFunction
+    n_minus: SampledMatrixFunction
+    constant: np.ndarray
+    kappas: np.ndarray
+    density: SampledMatrixFunction
+    c0: np.ndarray
+    plus_sum: np.ndarray
+    limit: np.ndarray
+    r: Optional[int] = None
+    sup_remainder: Optional[float] = None
+
+    @property
+    def solution(self) -> "Step":
+        """The step itself: the benchmark's output check reads `step.solution.n_plus`."""
+        return self
+
+    @property
+    def c_total(self) -> np.ndarray:
+        return self.constant - self.plus_sum
+
+    @property
+    def sup_n_plus(self) -> float:
+        return sup_norm(self.n_plus)
+
+    @property
+    def sup_n_minus(self) -> float:
+        return sup_norm(self.n_minus)
+
+    def evaluate_plus(self, z: complex) -> np.ndarray:
+        """N+(z) in the upper half-plane, z = i included."""
+        z = _in_half_plane(z, upper=True)
+        val = cauchy.cauchy_off_line(self.density, z) - self.constant
+        k = int(self.kappas.sum())  # the rows with exponent 1 come first
+        if k and z == 1j:  # v = 0: v^(-1) Omega0[M](z) tends to (1/N) sum_j conj(w_j) M(x_j)
+            g = self.density.grid
+            val[:k] = node_sum(np.conj(g.w_nodes), self.density.samples[:, :k]) / g.n_points
+        elif k:
+            val[:k] *= (z + 1j) / (z - 1j)
+        return val
+
+    def evaluate_minus(self, z: complex) -> np.ndarray:
+        """N-(z) in the lower half-plane."""
+        z = _in_half_plane(z, upper=False)
+        return self.constant - cauchy.cauchy_off_line(self.density, z)
+
+    def plus_at_infinity(self) -> np.ndarray:
+        return self.plus_sum - self.constant
+
+    def minus_at_infinity(self) -> np.ndarray:
+        return self.limit + self.c_total
 
 
-def solve_scalar_index1(m: np.ndarray, grid: MobiusGrid, c_forced: complex = 0.0) -> ScalarSolution:
-    """w n+ + n- = m with n+ analytic at z = i.
+def _in_half_plane(z: complex, upper: bool) -> complex:
+    """z as a complex number, checked to lie strictly in the upper (or lower) half-plane."""
+    z = complex(z)
+    if not (z.imag > 0 if upper else z.imag < 0):
+        side = "upper" if upper else "lower"
+        raise ValueError(f"z = {z} is not in the {side} half-plane, where the function is analytic")
+    return z
 
-    n+ = (1/w)(Omega0+[m] - c), n- = -Omega0-[m] + c. Analyticity at i forces
-    c = Omega0+[m](i), which is 0 for the corrected operator; any other value
-    would plant a pole and is rejected.
+
+def _scalar(m, grid: MobiusGrid) -> SampledMatrixFunction:
+    return SampledMatrixFunction(grid, np.asarray(m, dtype=complex)[:, None, None])
+
+
+def solve_scalar_index1(m: np.ndarray, grid: MobiusGrid, c_forced: complex = 0.0) -> Step:
+    """w n+ + n- = m with n+ analytic at z = i: solve_step for n = 1, kappa = 1.
+
+    Analyticity at i forces the constant to Omega0+[m](i) = 0, the corrected
+    operator's normalization; any value further than 1e-8 from it would
+    plant a pole and is rejected.
     """
     if abs(c_forced) > 1e-8:
         raise ForcedConstantError(
             f"index-1 constant must equal Omega0+[m](i) = 0, got {c_forced!r}"
         )
-    m = np.asarray(m, dtype=complex)
-    plus, minus, c0 = cauchy.mode_split(m)
-    n_plus = np.conj(grid.w_nodes) * (plus - c_forced)
-    n_minus = minus + c0 + c_forced
-    return ScalarSolution(n_plus, n_minus, complex(c_forced), 1)
+    return solve_step(_scalar(m, grid), (1,), np.zeros((0, 1)))
 
 
-def solve_scalar_index0(m: np.ndarray, grid: MobiusGrid, c_free: complex = 0.0) -> ScalarSolution:
-    """n+ + n- = m; the additive constant is free and shifts the parts oppositely."""
-    m = np.asarray(m, dtype=complex)
-    plus, minus, c0 = cauchy.mode_split(m)
-    n_plus = plus - c_free
-    n_minus = minus + c0 + c_free
-    return ScalarSolution(n_plus, n_minus, complex(c_free), 0)
-
-
-@dataclass(eq=False)
-class StepSolution:
-    """One step of the matrix boundary problem Lambda0+ N+ + N- = M."""
-
-    n_plus: SampledMatrixFunction
-    n_minus: SampledMatrixFunction
-    constant_used: np.ndarray  # full n x n constant, forced rows zero
-    kappas: np.ndarray
-    hp_plus: cauchy.HalfPlaneFunction
-    hp_minus: cauchy.HalfPlaneFunction
-    c0: np.ndarray
-    plus_sum: np.ndarray
-    limit: np.ndarray
+def solve_scalar_index0(m: np.ndarray, grid: MobiusGrid, c_free: complex = 0.0) -> Step:
+    """n+ + n- = m: solve_step for n = 1, kappa = 0; c_free shifts the parts oppositely."""
+    return solve_step(_scalar(m, grid), (0,), [[c_free]])
 
 
 def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
@@ -165,35 +212,35 @@ def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
 
 
 def solve_step(
-    lambda0_plus: SampledMatrixFunction,
     m: SampledMatrixFunction,
-    free_rows_constant,
+    kappas,
+    free_block,
     modes: Optional[cauchy.StepModes] = None,
-    kappas: Optional[np.ndarray] = None,
-) -> StepSolution:
-    """Solve Lambda0+ N+ + N- = M row by row.
+) -> Step:
+    """Solve Lambda0+ N+ + N- = M row by row, Lambda0+ = diag(w^kappas).
 
-    Rows with exponent 1 use the forced (zero) constant; rows with exponent 0
-    take the supplied free constants, one row of the block per index-0 row.
-    The boundary identity holds at the nodes to rounding by construction.
-    A driver that already holds them passes in `modes`, which must be
-    cauchy.step_modes(m.samples), and `kappas`, which must be
-    detect_kappas(lambda0_plus); only their shapes are checked, and they are
-    never written.
+    kappas are non-increasing zeros and ones. Rows with exponent 1 use the
+    forced (zero) constant; rows with exponent 0 take the supplied free
+    constants, one row of free_block per index-0 row. The boundary identity
+    holds at the nodes to rounding by construction. A driver that already
+    holds them passes in `modes`, which must be cauchy.step_modes(m.samples);
+    only their shape is checked, and they are never written.
     """
-    if kappas is None:
-        kappas = detect_kappas(lambda0_plus)
     n = m.dims[0]
-    if lambda0_plus.dims != m.dims:
-        raise ValueError("Lambda0+ and M dimensions disagree")
+    kappas = np.asarray(kappas)
     if kappas.shape != (n,):
         raise ValueError(f"kappas must have shape {(n,)}, got {kappas.shape}")
+    if not np.isin(kappas, (0, 1)).all():
+        raise ValueError(f"kappas must be 0 or 1, got {kappas.tolist()}; stable-case scope only")
+    if np.any(kappas[:-1] < kappas[1:]):
+        raise ValueError(f"kappas must be non-increasing, got {kappas.tolist()}")
     if modes is not None and modes.plus.shape != m.samples.shape:
         raise ValueError(
             f"modes are for samples of shape {modes.plus.shape}, M has {m.samples.shape}"
         )
+    kappas = kappas.astype(int)
     k = int(kappas.sum())
-    free = np.asarray(free_rows_constant, dtype=complex)
+    free = np.asarray(free_block, dtype=complex)
     if free.shape != (n - k, n):
         raise ValueError(f"free constant block must have shape {(n - k, n)}, got {free.shape}")
 
@@ -210,19 +257,12 @@ def solve_step(
     n_minus += e[..., None]
     if k:
         n_plus[:k] *= np.conj(m.grid.w_nodes)
-    n_plus = SampledMatrixFunction.node_last(m.grid, n_plus)
-    n_minus = SampledMatrixFunction.node_last(m.grid, n_minus)
-
-    row_powers = kappas.copy()
-    hp_plus = cauchy.HalfPlaneFunction("upper", n_plus, m, -e, sign=1, row_powers=row_powers)
-    hp_minus = cauchy.HalfPlaneFunction("lower", n_minus, m, e, sign=-1)
-    return StepSolution(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        constant_used=e,
+    return Step(
+        n_plus=SampledMatrixFunction.node_last(m.grid, n_plus),
+        n_minus=SampledMatrixFunction.node_last(m.grid, n_minus),
+        constant=e,
         kappas=kappas,
-        hp_plus=hp_plus,
-        hp_minus=hp_minus,
+        density=m,
         c0=np.asarray(modes.c0),
         plus_sum=np.asarray(modes.plus_sum),
         limit=cauchy.limit_or_estimate(m, modes.limit),

@@ -47,7 +47,7 @@ def test_criterion_01_plemelj_suite():
         omega_p = plus
         omega_m = -minus - c0
         worst_jump = max(worst_jump, float(np.abs(omega_p - omega_m - m.samples).max()))
-        at_i = cauchy.solve_jump(m, np.zeros((1, 1))).a_plus.evaluate(1j)
+        at_i = rbvp.solve_step(m, [0], np.zeros((1, 1))).evaluate_plus(1j)
         worst_at_i = max(worst_at_i, float(np.abs(at_i).max()))
     dt = time.perf_counter() - t0
     ok = worst_jump < 1e-10 and worst_at_i < 1e-8 and dt < 5.0

@@ -1,9 +1,9 @@
-"""Jump operators, off-line Cauchy evaluation, resampling, half-plane functions."""
+"""Jump operators, off-line Cauchy evaluation, resampling, the jump problem and its parts."""
 
 import numpy as np
 import pytest
 
-from whfactor import cauchy
+from whfactor import cauchy, rbvp
 from whfactor.evaluators import ClosedForm, Term
 from whfactor.grid import MobiusGrid, SampledMatrixFunction, sample
 
@@ -37,8 +37,9 @@ def test_plemelj_jump_exact_at_nodes():
     g = MobiusGrid.build(512)
     rng = np.random.default_rng(4)
     m, _ = _trig_smf(g, rng, band=60)
-    om_plus, om_minus = cauchy.boundary_pair(m)
-    gap = np.abs(om_plus.samples - om_minus.samples - m.samples).max()
+    plus, minus, c0 = cauchy.mode_split(m.samples)
+    om_plus, om_minus = plus, -minus - c0  # the boundary values Omega0+-[m]
+    gap = np.abs(om_plus - om_minus - m.samples).max()
     assert gap < 1e-12
 
 
@@ -46,10 +47,11 @@ def test_s0_relations():
     g = MobiusGrid.build(256)
     rng = np.random.default_rng(6)
     m, _ = _trig_smf(g, rng)
-    om_plus, om_minus = cauchy.boundary_pair(m)
+    plus, minus, c0 = cauchy.mode_split(m.samples)
+    om_plus, om_minus = plus, -minus - c0
     s0 = cauchy.singular_S0(m)
-    assert np.allclose(2 * om_plus.samples, m.samples + s0.samples, atol=1e-12)
-    assert np.allclose(2 * om_minus.samples, -m.samples + s0.samples, atol=1e-12)
+    assert np.allclose(2 * om_plus, m.samples + s0.samples, atol=1e-12)
+    assert np.allclose(2 * om_minus, -m.samples + s0.samples, atol=1e-12)
 
 
 def test_s0_eigenfunctions():
@@ -127,16 +129,17 @@ def test_resample_factor_one_is_identity():
 
 
 def test_jump_solution_continuation():
-    # pure plus density w: A+ continues to w(z) in the upper half plane, A- is 0
+    # pure plus density w: A+ continues to w(z) in the upper half plane, A- is 0;
+    # the jump problem A+ + A- = m is the step with every exponent 0
     g = MobiusGrid.build(256)
     m = sample(ClosedForm.mobius_power_diag((1,)), g)
-    sol = cauchy.solve_jump(m, np.zeros((1, 1)))
+    sol = rbvp.solve_step(m, [0], np.zeros((1, 1)))
     z = 0.5j
     w_z = (z - 1j) / (z + 1j)
-    assert abs(sol.a_plus.evaluate(z)[0, 0] - w_z) < 1e-12
-    assert abs(sol.a_minus.evaluate(-2j)[0, 0]) < 1e-12
-    assert abs(sol.a_plus.value_at_infinity()[0, 0] - 1.0) < 1e-12
-    assert abs(sol.a_minus.value_at_infinity()[0, 0]) < 1e-12
+    assert abs(sol.evaluate_plus(z)[0, 0] - w_z) < 1e-12
+    assert abs(sol.evaluate_minus(-2j)[0, 0]) < 1e-12
+    assert abs(sol.plus_at_infinity()[0, 0] - 1.0) < 1e-12
+    assert abs(sol.minus_at_infinity()[0, 0]) < 1e-12
 
 
 def test_jump_constant_freedom():
@@ -144,23 +147,23 @@ def test_jump_constant_freedom():
     rng = np.random.default_rng(12)
     m, _ = _trig_smf(g, rng, band=5, dims=(2, 2))
     c = np.array([[0.3, -1j], [0.0, 2.0]])
-    sol0 = cauchy.solve_jump(m, np.zeros((2, 2)))
-    solc = cauchy.solve_jump(m, c)
+    sol0 = rbvp.solve_step(m, [0, 0], np.zeros((2, 2)))
+    solc = rbvp.solve_step(m, [0, 0], c)
     # the constant moves between the parts; the boundary sum is unchanged
-    assert np.allclose(solc.a_plus.boundary.samples, sol0.a_plus.boundary.samples - c)
-    assert np.allclose(solc.a_minus.boundary.samples, sol0.a_minus.boundary.samples + c)
-    total = solc.a_plus.boundary.samples + solc.a_minus.boundary.samples
+    assert np.allclose(solc.n_plus.samples, sol0.n_plus.samples - c)
+    assert np.allclose(solc.n_minus.samples, sol0.n_minus.samples + c)
+    total = solc.n_plus.samples + solc.n_minus.samples
     assert np.allclose(total, m.samples, atol=1e-12)
 
 
 def test_half_plane_sign_validation():
     g = MobiusGrid.build(128)
     m = sample(ClosedForm.mobius_power_diag((1,)), g)
-    sol = cauchy.solve_jump(m, np.zeros((1, 1)))
+    sol = rbvp.solve_step(m, [0], np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        sol.a_plus.evaluate(-1.5j)
+        sol.evaluate_plus(-1.5j)
     with pytest.raises(ValueError):
-        sol.a_minus.evaluate(1.5j)
+        sol.evaluate_minus(1.5j)
 
 
 def test_reference_densities_bank():

@@ -68,12 +68,22 @@ def test_next_remainder_matches_direct_sum():
 
     nm = [rand_smf() for _ in range(3)]
     npl = [rand_smf() for _ in range(3)]
-    state = engine.StepState(order=3, n_plus_terms=npl, n_minus_terms=nm,
-                             remainders=[], constants=[])
-    got = engine.next_remainder(state)
+    steps = [types.SimpleNamespace(n_plus=p, n_minus=m) for p, m in zip(npl, nm)]
+    got = engine.next_remainder(steps)
     want = -sum((nm[j - 1].samples @ npl[3 - j].samples for j in range(1, 4)),
                 np.zeros((128, 2, 2), dtype=complex))
     assert np.abs(got.samples - want).max() < 1e-12
+    # the in-place sum makes the adds of the plain one, in the same order
+    acc = None
+    for j in range(1, 4):
+        term = nm[j - 1] @ npl[3 - j]
+        acc = term if acc is None else acc + term
+    assert np.array_equal(got.data, (-acc).data)
+    assert got.closed_form is None and got.data.flags.c_contiguous
+    for p, m in zip(npl, nm):  # the terms are read, never written
+        assert not np.shares_memory(got.data, p.data) and not np.shares_memory(got.data, m.data)
+    with pytest.raises(ValueError, match="at least one"):
+        engine.next_remainder([])
 
 
 def test_strategy_dispatch():
@@ -113,7 +123,7 @@ def test_run_telescoping_identity():
     for j in range(1, R + 1):
         for l in range(1, R + 1):
             if j + l >= R + 1:
-                tail += res.steps[j - 1].solution.n_minus.samples @ res.steps[l - 1].solution.n_plus.samples
+                tail += res.steps[j - 1].n_minus.samples @ res.steps[l - 1].n_plus.samples
     assert np.abs(lhs - tail).max() < 1e-8
 
 
@@ -169,6 +179,32 @@ def test_infinity_values_consistent_with_far_evaluation():
     assert np.abs(res.evaluate_h_minus(-1j) - res.h_minus_at_minus_i()).max() < 1e-10
 
 
+def test_h_plus_at_the_normalization_point():
+    # h+ is analytic at z = i, where the index-1 rows take their limit
+    g, res = _example_run(phi=0.1, n_points=1024, order=2, convergence=False)
+    at_i = res.evaluate_h_plus(1j)
+    assert np.all(np.isfinite(at_i))
+    assert np.abs(at_i - res.evaluate_h_plus(1j + 1e-7)).max() < 1e-8
+
+
+def test_factor_evaluation_checks_the_half_plane():
+    g, res = _example_run(phi=0.1, n_points=256, order=1, convergence=False)
+    for z in (-2j, 3.0, 1.0 - 1e-3j):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            res.evaluate_h_plus(z)
+    for z in (1j, 2j, 3.0):
+        with pytest.raises(ValueError, match="lower half-plane"):
+            res.evaluate_h_minus(z)
+    # a run that took no step checks z all the same
+    _, empty = _example_run(phi=0.0, n_points=256, order=2)
+    assert empty.order_reached == 0
+    assert np.array_equal(empty.evaluate_h_plus(2j), np.eye(2))
+    with pytest.raises(ValueError, match="upper half-plane"):
+        empty.evaluate_h_plus(-2j)
+    with pytest.raises(ValueError, match="lower half-plane"):
+        empty.evaluate_h_minus(2j)
+
+
 def test_early_stop_on_zero_density():
     g = MobiusGrid.build(256)
     inst = example2x2.build_example(0.0)
@@ -205,8 +241,8 @@ def test_minimize_infinity_strategy_zeroes_free_rows_at_infinity():
     g, res = _example_run(phi=0.1, n_points=1024, order=3,
                           strategy="minimize-remainder-infinity", convergence=False)
     k = PROFILE.k
-    for rec in res.steps:
-        n_plus_inf = rec.solution.hp_plus.value_at_infinity()
+    for step in res.steps:
+        n_plus_inf = step.plus_at_infinity()
         assert np.abs(n_plus_inf[k:, :]).max() < 1e-12
 
 
@@ -314,7 +350,7 @@ def test_strategy_writing_plus_sum_leaves_records_alone():
                           strategy=Scribbler(), convergence=False)
     for a, b in zip(res.steps, ref.steps):
         assert np.array_equal(a.plus_sum, b.plus_sum)
-        assert np.array_equal(a.solution.plus_sum, b.solution.plus_sum)
+        assert np.array_equal(a.plus_at_infinity(), b.plus_at_infinity())
         assert np.array_equal(a.c_total, b.c_total)
     assert np.array_equal(res.h_plus.samples, ref.h_plus.samples)
 

@@ -84,8 +84,8 @@ def test_first_step_factors_structure():
     psi = inst.psi
     assert list(sol.kappas) == [1, 0]
     # the canonical-frame constant has an exactly zero forced row
-    assert np.abs(sol.constant_used[0]).max() == 0.0
-    assert np.allclose(sol.constant_used, vs.c0 - psi * example2x2.B_MATRICES[0], atol=1e-15)
+    assert np.abs(sol.constant[0]).max() == 0.0
+    assert np.allclose(sol.constant, vs.c0 - psi * example2x2.B_MATRICES[0], atol=1e-15)
     assert np.allclose(sol.plus_sum, -psi * example2x2.B_MATRICES[0], atol=1e-15)
     assert np.abs(sol.limit).max() == 0.0
     # boundary identity diag(w,1) N1+ + N1- = M0 at every node
@@ -96,19 +96,19 @@ def test_first_step_factors_structure():
     # closed-form limits: N1+(inf) = -C0, N1-(inf) = C0
     assert np.allclose(sol.n_plus.closed_form.limit_at_infinity(), -vs.c0, atol=1e-13)
     assert np.allclose(sol.n_minus.closed_form.limit_at_infinity(), vs.c0, atol=1e-13)
-    # half-plane handles: the shared quadrature plus-sum cancels exactly from
-    # the pair, while its absolute accuracy is set by the folded spectral
-    # tail of the oscillatory density (1e-2 at this grid, decaying with N)
-    inf_p = sol.hp_plus.value_at_infinity()
-    inf_m = sol.hp_minus.value_at_infinity()
+    # infinity data from the step's exact plus-sum and limit: the pair
+    # cancels, and N1+(inf) = -C0, N1-(inf) = C0
+    inf_p = sol.plus_at_infinity()
+    inf_m = sol.minus_at_infinity()
     assert np.abs(inf_p + inf_m).max() < 1e-13
-    assert np.abs(inf_p + vs.c0).max() < 5e-2
+    assert np.abs(inf_p + vs.c0).max() < 1e-13
+    assert np.abs(inf_m - vs.c0).max() < 1e-13
     # off-line evaluation tracks the closed forms away from the line
     z_up, z_dn = 0.4 + 0.8j, -0.5 - 1.3j
     cf_p = ClosedForm.mobius_power_diag((-1, 0)) @ (inst.M0_plus - ClosedForm.constant(vs.c0))
     cf_m = inst.M0_minus + ClosedForm.constant(vs.c0)
-    assert np.abs(sol.hp_plus.evaluate(z_up) - cf_p(np.array([z_up]))[0]).max() < 5e-3
-    assert np.abs(sol.hp_minus.evaluate(z_dn) - cf_m(np.array([z_dn]))[0]).max() < 5e-3
+    assert np.abs(sol.evaluate_plus(z_up) - cf_p(np.array([z_up]))[0]).max() < 5e-3
+    assert np.abs(sol.evaluate_minus(z_dn) - cf_m(np.array([z_dn]))[0]).max() < 5e-3
 
 
 def test_first_step_rejects_phi_mismatch():
@@ -163,8 +163,8 @@ def test_route_cross_check_detects_convention_fault(monkeypatch):
     vs = example2x2.variant_constant(0, phi)
     real_solve = rbvp.solve_step
 
-    def skewed(lambda0, m, free_block):
-        sol = real_solve(lambda0, m, free_block)
+    def skewed(m, kappas, free_block):
+        sol = real_solve(m, kappas, free_block)
         sol.n_plus.samples[...] += 1e-3
         return sol
 
@@ -176,7 +176,7 @@ def test_route_cross_check_detects_convention_fault(monkeypatch):
 
 def test_route_cross_check_samples_only_the_split(monkeypatch):
     # per phi, the check samples M0+ and M0- on its grid and nothing else;
-    # the solver is called with (lambda0, m, free_block) alone
+    # the solver is called with (m, kappas, free_block) alone
     phi = 0.28613
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(2, phi)
@@ -203,29 +203,31 @@ def test_route_cross_check_samples_only_the_split(monkeypatch):
     assert solver_calls == [(3, {})]
 
 
-def test_route_cross_check_builds_lambda0_once_per_grid(monkeypatch):
-    # Lambda0 = diag(w, 1) does not depend on phi: the check grid's one
-    # build serves every phi checked on it
+def test_route_cross_check_passes_known_kappas(monkeypatch):
+    # Lambda0 = diag(w, 1) is known: the check hands its exponents (1, 0) to
+    # the solver, and builds and detects no Lambda0 on its grid
     monkeypatch.setattr(example2x2, "_check_grid", None)
     monkeypatch.setattr(example2x2, "_checked_phis", set())
-    example2x2._diag_w_one.cache_clear()
-    lambdas = []
+    calls = []
     real_solve = rbvp.solve_step
 
-    def recording_solve(lambda0, *args):
-        lambdas.append(lambda0)
-        return real_solve(lambda0, *args)
+    def recording_solve(m, kappas, *args):
+        calls.append((m, np.array(kappas)))
+        return real_solve(m, kappas, *args)
+
+    def no_detection(*args):
+        raise AssertionError("the check detected the exponents it already knows")
 
     monkeypatch.setattr(rbvp, "solve_step", recording_solve)
+    monkeypatch.setattr(rbvp, "detect_kappas", no_detection)
     for phi in (0.31, 0.17):
         inst = example2x2.build_example(phi)
         example2x2.first_step_factors(inst, example2x2.variant_constant(1, phi), MobiusGrid.build(64))
-    assert len(lambdas) == 2 and lambdas[0] is lambdas[1]
-    g = example2x2._check_grid
-    assert lambdas[0].grid is g
-    assert np.array_equal(lambdas[0].data[0, 0], g.w_nodes)
-    assert np.array_equal(lambdas[0].data[1, 1], np.ones(g.n_points))
-    assert not lambdas[0].data[0, 1].any() and not lambdas[0].data[1, 0].any()
+    assert len(calls) == 2
+    for m, kappas in calls:
+        assert m.grid is example2x2._check_grid and m.dims == (2, 2)
+        assert kappas.tolist() == [1, 0]
+    assert not hasattr(example2x2, "_diag_w_one")
     assert example2x2._checked_phis == {0.31, 0.17}
 
 

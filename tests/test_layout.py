@@ -87,20 +87,20 @@ def test_every_layer_returns_node_last_storage(monkeypatch):
     for a in (plus, minus, modes.plus, modes.minus):
         assert a.shape == (256, 2, 2) and _is_node_last(a, 256)
     lam0 = engine.build_lambda0(rbvp.split_indices((1, 0)), g)
-    sol = rbvp.solve_step(lam0, bare, np.zeros((1, 2)))
+    sol = rbvp.solve_step(bare, [1, 0], np.zeros((1, 2)))
     assert _is_node_last(sol.n_plus, 256) and _is_node_last(sol.n_minus, 256)
 
     remainders = []
     real_next = engine.next_remainder
 
-    def recording(state):
-        remainders.append(real_next(state))
+    def recording(steps):
+        remainders.append(real_next(steps))
         return remainders[-1]
 
     monkeypatch.setattr(engine, "next_remainder", recording)
     res = engine.run_factorization(lam0, m0, rbvp.split_indices((1, 0)), 3, refine_check=2)
     assert len(remainders) == 2
-    terms = [f for rec in res.steps for f in (rec.solution.n_plus, rec.solution.n_minus)]
+    terms = [f for step in res.steps for f in (step.n_plus, step.n_minus)]
     for f in [res.h_minus, res.h_plus, res.lambda_factor] + terms + remainders:
         assert _is_node_last(f, 256)
 

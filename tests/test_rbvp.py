@@ -57,9 +57,18 @@ def test_scalar_index1_pole_density():
     # m = 1/(t+i) = (1 - w)/(2i): n+ = i/2 and n- = -i/2, both constant
     g = MobiusGrid.build(256)
     sol = rbvp.solve_scalar_index1(1.0 / (g.x_nodes + 1j), g)
-    assert np.allclose(sol.n_plus, 0.5j, atol=1e-13)
-    assert np.allclose(sol.n_minus, -0.5j, atol=1e-13)
-    assert sol.kappa == 1 and sol.constant == 0
+    assert np.allclose(sol.n_plus.samples[:, 0, 0], 0.5j, atol=1e-13)
+    assert np.allclose(sol.n_minus.samples[:, 0, 0], -0.5j, atol=1e-13)
+    assert sol.kappas.tolist() == [1] and sol.constant.tolist() == [[0]]
+
+
+def test_scalar_index1_plus_part_at_i():
+    # n+ is analytic at the normalization point: n+(i) = i/2 for m = 1/(x+i),
+    # the limit (1/N) sum_j conj(w_j) m_j of v^(-1) Omega0+[m](z)
+    g = MobiusGrid.build(256)
+    sol = rbvp.solve_scalar_index1(1.0 / (g.x_nodes + 1j), g)
+    assert abs(sol.evaluate_plus(1j)[0, 0] - 0.5j) < 1e-12
+    assert abs(sol.evaluate_plus(1j + 1e-7)[0, 0] - 0.5j) < 1e-12
 
 
 def test_scalar_index1_boundary_identity():
@@ -69,7 +78,8 @@ def test_scalar_index1_boundary_identity():
     for p in range(-8, 9):
         m += (rng.standard_normal() + 1j * rng.standard_normal()) * g.w_nodes**p
     sol = rbvp.solve_scalar_index1(m, g)
-    assert np.allclose(g.w_nodes * sol.n_plus + sol.n_minus, m, atol=1e-12)
+    n_plus, n_minus = sol.n_plus.samples[:, 0, 0], sol.n_minus.samples[:, 0, 0]
+    assert np.allclose(g.w_nodes * n_plus + n_minus, m, atol=1e-12)
 
 
 def test_scalar_index1_rejects_forced_constant():
@@ -83,9 +93,10 @@ def test_scalar_index0_constant_freedom():
     m = 1.0 / (g.x_nodes**2 + 4) + 0j
     base = rbvp.solve_scalar_index0(m, g)
     moved = rbvp.solve_scalar_index0(m, g, c_free=1.5 - 2j)
-    assert np.allclose(base.n_plus + base.n_minus, m, atol=1e-13)
-    assert np.allclose(moved.n_plus, base.n_plus - (1.5 - 2j), atol=1e-13)
-    assert np.allclose(moved.n_minus, base.n_minus + (1.5 - 2j), atol=1e-13)
+    assert np.allclose(base.n_plus.samples + base.n_minus.samples, m[:, None, None], atol=1e-13)
+    assert np.allclose(moved.n_plus.samples, base.n_plus.samples - (1.5 - 2j), atol=1e-13)
+    assert np.allclose(moved.n_minus.samples, base.n_minus.samples + (1.5 - 2j), atol=1e-13)
+    assert moved.kappas.tolist() == [0] and moved.constant.tolist() == [[1.5 - 2j]]
 
 
 def _step_inputs(n_points=512, seed=31):
@@ -102,17 +113,18 @@ def _step_inputs(n_points=512, seed=31):
 def test_solve_step_boundary_identity():
     g, lam, m = _step_inputs()
     e = np.array([[0.7, -1j]])
-    sol = rbvp.solve_step(lam, m, e)
+    sol = rbvp.solve_step(m, [1, 0], e)
     lhs = lam.samples @ sol.n_plus.samples + sol.n_minus.samples
     assert np.abs(lhs - m.samples).max() < 1e-12
     assert np.array_equal(sol.kappas, [1, 0])
-    assert np.allclose(sol.constant_used[0], 0.0)
-    assert np.allclose(sol.constant_used[1], e[0])
+    assert np.allclose(sol.constant[0], 0.0)
+    assert np.allclose(sol.constant[1], e[0])
+    assert sol.density is m
 
 
 def test_solve_step_forced_row_is_scaled():
     g, lam, m = _step_inputs()
-    sol = rbvp.solve_step(lam, m, np.zeros((1, 2)))
+    sol = rbvp.solve_step(m, [1, 0], np.zeros((1, 2)))
     plus, _, _ = cauchy.mode_split(m.samples)
     assert np.allclose(sol.n_plus.samples[:, 0, :], np.conj(g.w_nodes)[:, None] * plus[:, 0, :], atol=1e-12)
     assert np.allclose(sol.n_plus.samples[:, 1, :], plus[:, 1, :], atol=1e-12)
@@ -121,45 +133,50 @@ def test_solve_step_forced_row_is_scaled():
 def test_solve_step_validates_inputs():
     g, lam, m = _step_inputs(128)
     with pytest.raises(ValueError, match="shape"):
-        rbvp.solve_step(lam, m, np.zeros((2, 2)))
+        rbvp.solve_step(m, [1, 0], np.zeros((2, 2)))
+    # the solver checks the exponents it is given ...
+    with pytest.raises(ValueError, match="stable-case scope"):
+        rbvp.solve_step(m, [2, 0], np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="non-increasing"):
+        rbvp.solve_step(m, [0, 1], np.zeros((1, 2)))
+    # ... and detect_kappas those of a sampled Lambda0+
     full = SampledMatrixFunction(g, np.ones((128, 2, 2), dtype=complex))
     with pytest.raises(ValueError, match="diagonal"):
-        rbvp.solve_step(full, m, np.zeros((1, 2)))
+        rbvp.detect_kappas(full)
     wrong_diag = sample(ClosedForm.mobius_power_diag((2, 0)), g)
     with pytest.raises(ValueError, match="stable-case scope"):
-        rbvp.solve_step(wrong_diag, m, np.zeros((1, 2)))
+        rbvp.detect_kappas(wrong_diag)
     increasing = sample(ClosedForm.mobius_power_diag((0, 1)), g)
     with pytest.raises(ValueError, match="non-increasing"):
-        rbvp.solve_step(increasing, m, np.zeros((1, 2)))
+        rbvp.detect_kappas(increasing)
 
 
 def test_solve_step_limit_from_closed_form():
     g = MobiusGrid.build(256)
-    lam = sample(ClosedForm.mobius_power_diag((1, 0)), g)
     c = np.array([[0.5, 1j], [2.0, -1.0]])
     cf = ClosedForm.constant(c) + ClosedForm([[(Term((1.0,), (1j, 1.0)),), ()], [(), ()]])
     m = sample(cf, g)
-    sol = rbvp.solve_step(lam, m, np.zeros((1, 2)))
+    sol = rbvp.solve_step(m, [1, 0], np.zeros((1, 2)))
     assert np.allclose(sol.limit, c, atol=1e-14)
 
 
 def test_solve_step_half_plane_handles():
     g, lam, m = _step_inputs(256)
-    sol = rbvp.solve_step(lam, m, np.zeros((1, 2)))
-    up = sol.hp_plus.evaluate(2j)
-    dn = sol.hp_minus.evaluate(-2j)
+    sol = rbvp.solve_step(m, [1, 0], np.zeros((1, 2)))
+    up = sol.evaluate_plus(2j)
+    dn = sol.evaluate_minus(-2j)
     assert up.shape == (2, 2) and np.all(np.isfinite(up))
     assert dn.shape == (2, 2) and np.all(np.isfinite(dn))
     with pytest.raises(ValueError):
-        sol.hp_plus.evaluate(-1j)
+        sol.evaluate_plus(-1j)
 
 
 def test_solve_step_with_shared_modes_and_kappas_is_identical():
     g, lam, m = _step_inputs(257)
     e = np.array([[0.7, -1j]])
-    own = rbvp.solve_step(lam, m, e)
-    shared = rbvp.solve_step(lam, m, e, cauchy.step_modes(m.samples), rbvp.detect_kappas(lam))
-    for field in ("constant_used", "kappas", "c0", "plus_sum", "limit"):
+    own = rbvp.solve_step(m, [1, 0], e)
+    shared = rbvp.solve_step(m, rbvp.detect_kappas(lam), e, cauchy.step_modes(m.samples))
+    for field in ("constant", "kappas", "c0", "plus_sum", "limit"):
         assert np.array_equal(getattr(shared, field), getattr(own, field)), field
     assert np.array_equal(shared.n_plus.samples, own.n_plus.samples)
     assert np.array_equal(shared.n_minus.samples, own.n_minus.samples)
@@ -169,10 +186,10 @@ def test_solve_step_rejects_mismatched_modes_and_kappas():
     g, lam, m = _step_inputs(257)
     e = np.zeros((1, 2))
     with pytest.raises(ValueError, match="kappas must have shape"):
-        rbvp.solve_step(lam, m, e, kappas=np.array([1, 0, 0]))
+        rbvp.solve_step(m, np.array([1, 0, 0]), e)
     other = cauchy.step_modes(_step_inputs(256)[2].samples)
     with pytest.raises(ValueError, match="modes are for samples"):
-        rbvp.solve_step(lam, m, e, other, rbvp.detect_kappas(lam))
+        rbvp.solve_step(m, rbvp.detect_kappas(lam), e, other)
 
 
 def test_solve_step_leaves_supplied_modes_alone():
@@ -181,8 +198,8 @@ def test_solve_step_leaves_supplied_modes_alone():
     modes = cauchy.step_modes(m.samples)
     plus, minus = modes.plus.copy(), modes.minus.copy()
     kappas = rbvp.detect_kappas(lam)
-    first = rbvp.solve_step(lam, m, e, modes, kappas)
-    second = rbvp.solve_step(lam, m, e, modes, kappas)
+    first = rbvp.solve_step(m, kappas, e, modes)
+    second = rbvp.solve_step(m, kappas, e, modes)
     assert np.array_equal(first.n_plus.samples, second.n_plus.samples)
     assert np.array_equal(first.n_minus.samples, second.n_minus.samples)
     assert np.array_equal(modes.plus, plus)
