@@ -9,8 +9,10 @@ is the circle Cauchy integral of the transplanted density minus its value at
 v = 0. On the midpoint grid this reduces to splitting the DFT modes c_p of
 the samples: the upper boundary value is the p > 0 part, the lower one is
 minus the p < 0 part minus c_0, and their difference reproduces the samples
-exactly at the nodes (discrete inversion identity). The normalization
-Omega0+[m](i) = 0 is structural: the plus part has no zero mode.
+exactly at the nodes (discrete inversion identity). So one forward FFT and
+one inverse FFT, of the p > 0 bins alone, give both: the p < 0 part is the
+samples minus the plus part minus c_0. The normalization Omega0+[m](i) = 0
+is structural: the plus part has no zero mode.
 
 Off the line the same quadrature is a single weighted sum over the nodes,
 accurate once z keeps clear of the sampled axis.
@@ -18,7 +20,10 @@ accurate once z keeps clear of the sampled axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .grid import MobiusGrid, SampledMatrixFunction, node_sum, sample as _sample
@@ -30,6 +35,21 @@ class AccuracyError(RuntimeError):
 
 def _signed_modes(n: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(n) * n).astype(int)
+
+
+@functools.lru_cache(maxsize=16)
+def _twiddles(n: int, fine: Optional[int] = None) -> np.ndarray:
+    """exp(-i pi p / n) over the signed modes p of an n-point grid, in bin order; read-only.
+
+    That is the midpoint phase twist from DFT bins to circle modes. With
+    fine, exp(+i pi p / fine) instead: the same modes twisted back on a
+    fine-point grid. Both depend on the grid sizes only, so each is
+    computed once.
+    """
+    p = _signed_modes(n)
+    tw = np.exp(-1j * np.pi * p / n) if fine is None else np.exp(1j * np.pi * p / fine)
+    tw.flags.writeable = False
+    return tw
 
 
 # Samples are passed around node axis first, (N, ...), as
@@ -49,31 +69,31 @@ def _spectrum(samples) -> np.ndarray:
     return np.fft.fft(x, axis=-1, out=np.empty(x.shape, dtype=complex))
 
 
-def _twist(raw: np.ndarray, p: np.ndarray, n: int, out=None) -> np.ndarray:
-    """True circle modes c_p from the DFT bins p of an n-point grid: raw / n times exp(-i p pi / n).
+def _twist(raw: np.ndarray, twiddles: np.ndarray, n: int, out=None) -> np.ndarray:
+    """True circle modes c_p from DFT bins of an n-point grid: raw / n times their twiddles.
 
-    raw holds the bins along its last axis; the result is written into out
-    when given, and out may be raw itself.
+    raw holds the bins along its last axis and twiddles the matching
+    exp(-i p pi / n); the result is written into out when given, and out
+    may be raw itself.
     """
     c = np.divide(raw, n, out=out)
-    c *= np.exp(-1j * np.pi * p / n)
+    c *= twiddles
     return c
 
 
 def _split(raw: np.ndarray):
-    """(plus, minus, c0) from the DFT bins (last axis); raw is reused for the minus half.
+    """(plus, c0) from the DFT bins (last axis); plus overwrites raw.
 
-    Bins [1:h] hold the modes p > 0 and [:h] those p >= 0, h = (N+1)//2.
+    Bins [1:h] hold the modes p > 0, h = (N+1)//2: the others are zeroed in
+    place and one inverse FFT gives the plus part at the nodes. The minus
+    part is then the samples minus plus minus c0 (discrete inversion).
     """
     n = raw.shape[-1]
     h = (n + 1) // 2
     c0 = raw[..., 0] / n
-    plus = np.zeros_like(raw)
-    plus[..., 1:h] = raw[..., 1:h]
-    np.fft.ifft(plus, axis=-1, out=plus)
-    raw[..., :h] = 0
-    np.fft.ifft(raw, axis=-1, out=raw)
-    return plus, raw, c0
+    raw[..., 0] = 0
+    raw[..., h:] = 0
+    return np.fft.ifft(raw, axis=-1, out=raw), c0
 
 
 _SUM_BLOCK = 1 << 13  # bins per block of the mode sums
@@ -90,10 +110,10 @@ def _mode_sums(raw: np.ndarray):
     """
     n = raw.shape[-1]
     h = (n + 1) // 2
-    p = _signed_modes(n)
+    tw = _twiddles(n)
     plus = total = None
     for k in range(0, n, _SUM_BLOCK):
-        c = _twist(raw[..., k:k + _SUM_BLOCK], p[k:k + _SUM_BLOCK], n)
+        c = _twist(raw[..., k:k + _SUM_BLOCK], tw[k:k + _SUM_BLOCK], n)
         block = c.sum(axis=-1)
         total = block if total is None else total + block
         lo, hi = max(k, 1) - k, min(k + c.shape[-1], h) - k  # the block's bins with p > 0
@@ -107,11 +127,14 @@ def mode_split(samples: np.ndarray):
     """Split node samples into (plus, minus, c0).
 
     plus_j = sum_{p>0} c_p w_j^p, minus_j = sum_{p<0} c_p w_j^p, and c0 is the
-    mean mode; plus + minus + c0 = samples to rounding. The midpoint phase
-    twist exp(-i p pi / N) relating DFT bins to circle modes cancels in these
-    node-space projections, so only masking is needed.
+    mean mode. The midpoint phase twist exp(-i p pi / N) relating DFT bins to
+    circle modes cancels in these node-space projections, so only masking is
+    needed. minus is taken as samples - plus - c0, so plus + minus + c0 =
+    samples to one rounding.
     """
-    plus, minus, c0 = _split(_spectrum(samples))
+    plus, c0 = _split(_spectrum(samples))
+    minus = np.subtract(_node_last(samples), plus)
+    minus -= c0[..., None]
     return np.moveaxis(plus, -1, 0), np.moveaxis(minus, -1, 0), c0
 
 
@@ -127,15 +150,15 @@ def limit_estimate(samples: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class StepModes:
-    """What one solver step needs from its density, all from one forward FFT.
+    """What one solver step needs from its density: one forward and one inverse FFT.
 
-    plus, minus and c0 are mode_split's, plus and minus as (N, n, n) views
-    of node-last arrays; plus_sum is plus_coefficient_sum's and limit is
-    limit_estimate's, bit for bit.
+    plus and c0 are mode_split's, plus as the (N, n, n) view of a node-last
+    array (the step takes the minus part from the density and plus);
+    plus_sum is plus_coefficient_sum's and limit is limit_estimate's, bit
+    for bit.
     """
 
     plus: np.ndarray
-    minus: np.ndarray
     c0: np.ndarray
     plus_sum: np.ndarray
     limit: np.ndarray
@@ -145,8 +168,8 @@ def step_modes(samples: np.ndarray) -> StepModes:
     """Transform the samples once and derive the split and both mode sums."""
     raw = _spectrum(samples)
     plus_sum, limit = _mode_sums(raw)
-    plus, minus, c0 = _split(raw)
-    return StepModes(np.moveaxis(plus, -1, 0), np.moveaxis(minus, -1, 0), c0, plus_sum, limit)
+    plus, c0 = _split(raw)
+    return StepModes(np.moveaxis(plus, -1, 0), c0, plus_sum, limit)
 
 
 def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
@@ -165,9 +188,14 @@ def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndar
 
 
 def singular_S0(m: SampledMatrixFunction) -> SampledMatrixFunction:
-    """Corrected principal-value operator, S0[m] = Omega0+[m] + Omega0-[m]."""
-    plus, minus, c0 = mode_split(m.samples)
-    return SampledMatrixFunction(m.grid, plus - minus - c0)
+    """Corrected principal-value operator, S0[m] = Omega0+[m] + Omega0-[m].
+
+    At the nodes that is plus - minus - c0 = 2 plus - m, by the discrete
+    inversion identity.
+    """
+    plus, _ = _split(_spectrum(m.samples))
+    plus *= 2
+    return SampledMatrixFunction.node_last(m.grid, np.subtract(plus, m.data, out=plus))
 
 
 def cauchy_off_line(m: SampledMatrixFunction, z: complex) -> np.ndarray:
@@ -216,12 +244,18 @@ def _resample_to(m: SampledMatrixFunction, fine: MobiusGrid) -> SampledMatrixFun
     if m.closed_form is not None:
         return _sample(m.closed_form, fine)
     n, big_n = m.grid.n_points, fine.n_points
-    p = _signed_modes(n)
     raw = _spectrum(m.samples)
-    c = _twist(raw, p, n, out=raw)
-    big = np.zeros(m.dims + (big_n,), dtype=complex)
-    big[..., p % big_n] = c * np.exp(1j * np.pi * p / big_n)
-    big *= big_n
+    c = _twist(raw, _twiddles(n), n, out=raw)
+    # the h modes p >= 0 open the fine spectrum and the n - h modes p < 0
+    # close it, each in its own bin of the fine grid; the bins between are 0
+    h = (n + 1) // 2
+    untwist = _twiddles(n, big_n)
+    big = np.empty(m.dims + (big_n,), dtype=complex)
+    big[..., h:big_n - (n - h)] = 0
+    for bins, fine_bins in ((slice(0, h), slice(0, h)),
+                            (slice(h, n), slice(big_n - (n - h), big_n))):
+        part = np.multiply(c[..., bins], untwist[bins], out=big[..., fine_bins])
+        part *= big_n
     return SampledMatrixFunction.node_last(fine, np.fft.ifft(big, axis=-1, out=big))
 
 

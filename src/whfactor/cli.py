@@ -254,18 +254,43 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _write_csv(path, header, chunks):
-    """Write the header line, then each chunk of already rendered rows."""
+def _write_csv(path, header, text):
+    """Write the header line, then the rendered rows, an iterable of strings."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.writelines(text)
+
+
+def _column_text(col) -> list:
+    """_fmt of each value of a float column; a value that repeats is formatted once.
+
+    A column made of runs of one value (a constant, or phi, p and q in
+    stacked blocks) costs one format per run, and one that repeats its
+    first L values (x in stacked blocks) the formats of those L. Repeats
+    are confirmed on the bytes, so -0.0 and 0.0 keep their own text.
+    """
+    col = np.ascontiguousarray(col, dtype=float)
+    n, raw = len(col), col.tobytes()
+    cuts = [i for i, new in enumerate((col[1:] != col[:-1]).tolist(), 1) if new]
+    if len(cuts) < n // 2:
+        text = []
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            if raw[8 * a:8 * b] == raw[8 * a:8 * a + 8] * (b - a):
+                text += [_fmt(col[a])] * (b - a)
+            else:  # 0.0 next to -0.0
+                text += map("%.17g".__mod__, col[a:b].tolist())
+        return text
+    period = next((i for i, same in enumerate((col[1:] == col[:1]).tolist(), 1) if same), n)
+    if period < n and n % period == 0 and raw == raw[:8 * period] * (n // period):
+        return _column_text(col[:period]) * (n // period)
+    return list(map("%.17g".__mod__, col.tolist()))
 
 
 def _table_text(rows) -> str:
     """CSV lines for a 2-D float array, every cell rendered like _fmt."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return "".join(map(line.__mod__, map(tuple, rows.tolist())))
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
+    cols = [_column_text(rows[:, j]) for j in range(rows.shape[1])]
+    return "".join(map(line.__mod__, zip(*cols)))
 
 
 def _json_safe(v):
@@ -275,10 +300,14 @@ def _json_safe(v):
     return v if math.isfinite(v) else None
 
 
-def _factor_text(phi, grid, result):
-    """factors.csv lines for one phi, one chunk per (component, p, q) block."""
+def _factor_text(phi, x_text, result):
+    """factors.csv lines for one phi, block by (component, p, q) block.
+
+    x_text is _column_text of the grid's nodes, formatted once per grid. A
+    constant part, as lambda's 0 and 1 entries have, is formatted once into
+    the block's line; the others cell by cell.
+    """
     n = result.profile.n
-    x = grid.x_nodes.tolist()
     for name, smf in (
         ("h_minus", result.h_minus),
         ("h_plus", result.h_plus),
@@ -286,9 +315,17 @@ def _factor_text(phi, grid, result):
     ):
         for p in range(n):
             for q in range(n):
-                line = f"{_fmt(phi)},%.17g,{name},{p + 1},{q + 1},%.17g,%.17g\n"
                 col = smf.data[p, q]
-                yield "".join(map(line.__mod__, zip(x, col.real.tolist(), col.imag.tolist())))
+                cells, columns = [], [x_text]
+                for part in (col.real, col.imag):
+                    raw = part.tobytes()
+                    if raw == raw[:8] * len(part):
+                        cells.append(_fmt(part[0]))
+                    else:
+                        cells.append("%.17g")
+                        columns.append(part.tolist())
+                line = f"{_fmt(phi)},%s,{name},{p + 1},{q + 1},{cells[0]},{cells[1]}\n"
+                yield from map(line.__mod__, zip(*columns))
 
 
 def _phi_entry(phi, result, report, diag):
@@ -413,8 +450,9 @@ def run(config: RunConfig) -> dict:
     written = []
     try:
         def all_factor_text():
+            x_text = _column_text(grid.x_nodes)
             for phi, res, _, _ in results:
-                yield from _factor_text(phi, grid, res)
+                yield from _factor_text(phi, x_text, res)
 
         written.append(factors_path)
         _write_csv(factors_path, ("phi", "x", "component", "p", "q", "re", "im"), all_factor_text())

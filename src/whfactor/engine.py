@@ -253,7 +253,7 @@ class FactorizationResult:
         n = self.profile.n
         total = np.eye(n, dtype=complex)
         for step in self.steps:
-            total = total + step.limit + step.c_total
+            total = total + step.minus_at_infinity()
         return total
 
     def h_minus_at_minus_i(self) -> np.ndarray:
@@ -353,7 +353,7 @@ def run_factorization(
             raise NumericalError(f"remainder at step {r} contains non-finite values")
         if sup_m < atol:
             break
-        modes = cauchy.step_modes(current.samples)  # the step's only forward FFT
+        modes = cauchy.step_modes(current.samples)  # the step's one forward and one inverse FFT
         # the strategy gets its own copy: modes.plus_sum goes into the step
         block = np.asarray(
             strat.free_block(r, current, profile, modes.plus_sum.copy()), dtype=complex
@@ -365,7 +365,7 @@ def run_factorization(
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"strategy returned non-finite constants at step {r}")
         step = solve_step(current, kappas, block, modes)
-        del modes  # the split halves are dead once the step is solved
+        del modes  # the plus part is dead once the step is solved
         if not (np.all(np.isfinite(step.n_plus.data)) and np.all(np.isfinite(step.n_minus.data))):
             raise NumericalError(f"step {r} produced non-finite factor terms")
         step.r, step.sup_remainder = r, sup_m

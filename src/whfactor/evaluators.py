@@ -132,14 +132,21 @@ def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
     cells[i][j] lists the entry's terms P/Q * e^(i*phase*z) as (key of P,
     key of Q, phase); polys maps a key to the polynomial's values, an array
     or, for a constant, a scalar; exps maps a phase to e^(i*phase*z), None
-    for phase 0.
+    for phase 0. An entry whose terms equal an earlier entry's is a copy of
+    it.
     """
     # complex quotients and products never overwrite an operand: numpy
     # rounds some in-place ones (on one-element arrays) differently
     quot, prod, acc = (np.empty(out.shape[-1:], dtype=complex) for _ in range(3))
+    done = {}  # terms of an assembled entry -> its slot
     for i, row in enumerate(cells):
         for j, cell in enumerate(row):
             slot = out[i, j]
+            key = tuple(cell)
+            if key in done:
+                slot[...] = done[key]
+                continue
+            done[key] = slot
             if not cell:
                 slot[...] = 0
             last = len(cell) - 1

@@ -146,7 +146,8 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
     their sum M0, with the known exponents (1, 0) of Lambda0; the exact
     route is N1- = M0- + C0 and N1+ = diag(conj w, 1)(M0+ - C0), built in
     place in the same two samples. The differences overwrite the solver's
-    factors. All arrays are node-last, (2, 2, N).
+    factors, and their eight entries fold into one N-vector of largest
+    gaps. All arrays are node-last, (2, 2, N).
     """
     m0_plus = sample(instance.M0_plus, g).data
     m0_minus = sample(instance.M0_minus, g).data
@@ -159,10 +160,12 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
     m0_minus += c0[..., None]
     d_plus -= m0_plus
     d_minus -= m0_minus
-    gap = np.abs(d_plus)
-    np.maximum(gap, np.abs(d_minus), out=gap)
-    gap = gap.reshape(4, g.n_points)  # largest of the four entries, node by node
-    return float(np.median(np.maximum(np.maximum(gap[0], gap[1]), np.maximum(gap[2], gap[3]))))
+    gap, entry = np.zeros(g.n_points), np.empty(g.n_points)
+    for d in (d_plus, d_minus):
+        for row in d:
+            for col in row:  # largest of the eight entries, node by node
+                np.maximum(gap, np.abs(col, out=entry), out=gap)
+    return float(np.median(gap))
 
 
 def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,

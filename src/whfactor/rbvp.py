@@ -221,9 +221,10 @@ def solve_step(
 
     kappas are non-increasing zeros and ones. Rows with exponent 1 use the
     forced (zero) constant; rows with exponent 0 take the supplied free
-    constants, one row of free_block per index-0 row. The boundary identity
-    holds at the nodes to rounding by construction. A driver that already
-    holds them passes in `modes`, which must be cauchy.step_modes(m.samples);
+    constants, one row of free_block per index-0 row. N- is taken as
+    M - (plus - E), E the constant, so the boundary identity holds at the
+    nodes to one rounding by construction. A driver that already holds
+    them passes in `modes`, which must be cauchy.step_modes(m.samples);
     only their shape is checked, and they are never written.
     """
     n = m.dims[0]
@@ -247,14 +248,13 @@ def solve_step(
     e = np.zeros((n, n), dtype=complex)
     e[k:] = free
 
-    own = modes is None  # then the split halves are this call's to overwrite
+    own = modes is None  # then the plus part is this call's to overwrite
     if own:
         modes = cauchy.step_modes(m.samples)
-    # the split halves node-last, (n, n, N); rows are contiguous
-    plus, minus = np.moveaxis(modes.plus, 0, -1), np.moveaxis(modes.minus, 0, -1)
+    # node-last, (n, n, N); rows are contiguous
+    plus = np.moveaxis(modes.plus, 0, -1)
     n_plus = np.subtract(plus, e[..., None], out=plus if own else None)
-    n_minus = np.add(minus, modes.c0[..., None], out=minus if own else None)
-    n_minus += e[..., None]
+    n_minus = np.subtract(m.data, n_plus)
     if k:
         n_plus[:k] *= np.conj(m.grid.w_nodes)
     return Step(

@@ -186,12 +186,46 @@ def test_step_modes_equal_separate_transforms(n_points, n):
     rng = np.random.default_rng(100 * n + n_points)
     samples = rng.standard_normal((n_points, n, n)) + 1j * rng.standard_normal((n_points, n, n))
     modes = cauchy.step_modes(samples)
-    plus, minus, c0 = cauchy.mode_split(samples)
+    plus, _, c0 = cauchy.mode_split(samples)
     assert np.array_equal(modes.plus, plus)
-    assert np.array_equal(modes.minus, minus)
     assert np.array_equal(modes.c0, c0)
     assert np.array_equal(modes.plus_sum, cauchy.plus_coefficient_sum(samples))
     assert np.array_equal(modes.limit, cauchy.limit_estimate(samples))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_points", [256, 257])
+def test_split_reproduces_the_density(n_points, n):
+    # discrete inversion: plus + minus + c0 = M to a few roundings of max |M|,
+    # and the step identity Lambda0+ N+ + N- = M to a few of its terms'
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7 * n + n_points)
+    samples = rng.standard_normal((n_points, n, n)) + 1j * rng.standard_normal((n_points, n, n))
+    plus, minus, c0 = cauchy.mode_split(samples)
+    assert np.abs(plus + minus + c0 - samples).max() <= 4 * eps * np.abs(samples).max()
+    g = MobiusGrid.build(n_points)
+    m = SampledMatrixFunction(g, samples)
+    k = n // 2
+    kappas = np.array([1] * k + [0] * (n - k))
+    free = rng.standard_normal((n - k, n)) + 1j * rng.standard_normal((n - k, n))
+    step = rbvp.solve_step(m, kappas, free)
+    lam = np.where(kappas[:, None] == 1, g.w_nodes, 1)  # diag(w^kappas), (n, N)
+    lhs = lam[:, None, :] * step.n_plus.data + step.n_minus.data
+    scale = max(np.abs(a).max() for a in (m.data, step.n_plus.data, step.n_minus.data))
+    assert np.abs(lhs - m.data).max() <= 4 * eps * scale
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 64, 257, 2048])
+def test_twiddles_are_cached_bit_for_bit(n_points):
+    p = np.rint(np.fft.fftfreq(n_points) * n_points).astype(int)
+    assert np.array_equal(cauchy._signed_modes(n_points), p)
+    for args, want in (((), np.exp(-1j * np.pi * p / n_points)),
+                       ((3 * n_points,), np.exp(1j * np.pi * p / (3 * n_points)))):
+        got = cauchy._twiddles(n_points, *args)
+        assert got.view(float).tobytes() == want.view(float).tobytes()
+        assert cauchy._twiddles(n_points, *args) is got and not got.flags.writeable
+    info = cauchy._twiddles.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_limit_or_estimate_prefers_closed_form():

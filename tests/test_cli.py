@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +200,66 @@ def test_float_format_round_trips():
         assert float(cli._fmt(v)) == v
 
 
+def _special_values(rng, size):
+    """Random values with +-0.0, +-inf and nan mixed in."""
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+    v[::7] = 0.0
+    v[1::7] = -0.0
+    v[2::11] = np.inf
+    v[3::11] = -np.inf
+    v[4::13] = np.nan
+    return v
+
+
+def test_table_text_matches_per_cell_format():
+    rng = np.random.default_rng(3)
+    x = _special_values(rng, 50)
+    x[0] = -1e300  # x repeats as a whole in each block, its first value only there
+    blocks = []
+    for sign in (1.0, -1.0):
+        blocks.append(np.column_stack([
+            np.full(50, 1.0), np.full(50, sign * 0.0), x, np.full(50, np.nan),
+            np.full(50, -np.inf), _special_values(rng, 50), rng.standard_normal(50),
+        ]))
+    rows = np.vstack(blocks)
+    want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+    assert cli._table_text(rows) == want
+    assert "-0," in want and ",0," in want  # -0.0 keeps its own text
+    assert cli._table_text(np.empty((0, 9))) == ""
+
+
+def test_factor_text_matches_per_cell_format():
+    rng = np.random.default_rng(4)
+    n, n_points = 2, 40
+    x = np.sort(rng.standard_normal(n_points))
+    x[5] = -0.0
+    comps = {}
+    for name in ("h_minus", "h_plus", "lambda"):
+        data = _special_values(rng, (n, n, n_points)) + 1j * _special_values(rng, (n, n, n_points))
+        comps[name] = data
+    comps["lambda"][0, 1] = 0.0  # constant entries, as lambda's off-diagonal ones
+    comps["lambda"][1, 1] = complex(1.0, -0.0)
+    near = comps["h_plus"][0, 1]  # parts that are constant but for one value
+    near.real, near.imag = 2.0, 0.0
+    near.real[20], near.imag[17] = 3.0, -0.0
+    result = SimpleNamespace(
+        profile=SimpleNamespace(n=n),
+        h_minus=SimpleNamespace(data=comps["h_minus"]),
+        h_plus=SimpleNamespace(data=comps["h_plus"]),
+        lambda_factor=SimpleNamespace(data=comps["lambda"]),
+    )
+    phi = 0.1
+    want = []
+    for name, data in comps.items():
+        for p in range(n):
+            for q in range(n):
+                for xv, v in zip(x.tolist(), data[p, q].tolist()):
+                    want.append("%.17g,%.17g,%s,%d,%d,%.17g,%.17g\n"
+                                % (phi, xv, name, p + 1, q + 1, v.real, v.imag))
+    got = "".join(cli._factor_text(phi, cli._column_text(x), result))
+    assert got == "".join(want)
+
+
 def test_run_custom_problem(tmp_path):
     cfg = parse_config(_custom_cfg())
     cfg.grid_points = 256
@@ -297,19 +358,22 @@ _GOLDEN_CONFIGS = {
 # build of a given numpy (test_run_outputs_do_not_depend_on_the_blas_kernel).
 # Re-recorded once for node-last storage: node-axis sums (node_sum, the mode
 # sums, zeroth_mode) now run along a contiguous axis, which numpy adds
-# pairwise instead of in sequence.
+# pairwise instead of in sequence. Re-recorded once when the minus part of
+# each step came to be taken from the inversion identity M - (plus - E)
+# instead of a second inverse FFT, and h-(inf) came to sum the steps'
+# minus_at_infinity(): the factors and diagnostics moved in their last bits.
 # numpy's own SIMD dispatch can still move the last bits: its AVX2/FMA3 loops
 # for complex products, abs and exp round differently from its baseline ones.
 _GOLDEN_DIGESTS = {
     "custom3": {
-        "factors.csv": "3ed7a0efb1f9705bcc980721cd396e9cac01557c47269acb03dedc83e4e14430",
+        "factors.csv": "1a72fa25cd523b0fd597d38e162327456397dc9242906f7fc5575c93f0a57749",
         "remainders.csv": "323a9116ee6e2b98e48988f88e4640a156faf3d383286f0ed7803966b5ab54ff",
-        "diagnostics.json": "76be0db44ba060d5693443b10a09aac0b60aa26607513bd877213aec287f4593",
+        "diagnostics.json": "f88d002975ac6425129751dfd83534851a87fd3df372a3124484f808283fcd45",
     },
     "example": {
-        "factors.csv": "7c67340877ae0992b09220a6d9563f22f5abf46dfff32094b14de0e20c8e2ec3",
+        "factors.csv": "55ec60e168edb15b7c2d6cf1448bfe0f3a7b4b0720f97184ce535208cbc93129",
         "remainders.csv": "fe7e35708ba25583bf1190ad132d31d851daadafab11e974aa9ba19796d1d6e7",
-        "diagnostics.json": "1621c22adb0c75ed788ba481367c85d97c952ae3d7097a800cdf4c76a339d991",
+        "diagnostics.json": "b433af0eb424874b43e969ed98cdc44b45c2f731d1157a1a78221a6d20715ae2",
     },
 }
 

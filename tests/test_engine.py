@@ -179,6 +179,16 @@ def test_infinity_values_consistent_with_far_evaluation():
     assert np.abs(res.evaluate_h_minus(-1j) - res.h_minus_at_minus_i()).max() < 1e-10
 
 
+@pytest.mark.parametrize("strategy", ["canonical-zero", "minimize-remainder-infinity"])
+def test_h_minus_infinity_sums_the_step_limits(strategy):
+    # N-(inf) has one definition: h-(inf) is I plus each step's minus_at_infinity()
+    _, res = _example_run(phi=0.2, n_points=512, order=4, strategy=strategy, convergence=False)
+    want = np.eye(2, dtype=complex)
+    for step in res.steps:
+        want = want + step.minus_at_infinity()
+    assert res.h_minus_infinity().tobytes() == want.tobytes()
+
+
 def test_h_plus_at_the_normalization_point():
     # h+ is analytic at z = i, where the index-1 rows take their limit
     g, res = _example_run(phi=0.1, n_points=1024, order=2, convergence=False)
@@ -297,7 +307,8 @@ def test_refined_residual_builds_one_grid(monkeypatch):
 
 
 def test_one_forward_fft_per_step(monkeypatch):
-    # every step derives its split, plus-sum and limit from one forward FFT
+    # every step derives its split, plus-sum and limit from one forward FFT,
+    # and inverts only its plus part
     counts = {"fft": 0, "ifft": 0}
 
     def counted(name):
@@ -323,7 +334,7 @@ def test_one_forward_fft_per_step(monkeypatch):
             _, res = _example_run(phi=0.1, n_points=256, order=order, strategy=strategy,
                                   refine_check=1, convergence=False)
             assert res.order_reached == order
-            assert counts == {"fft": order, "ifft": 2 * order}
+            assert counts == {"fft": order, "ifft": order}
 
 
 def test_lambda0_must_match_profile():

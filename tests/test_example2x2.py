@@ -157,7 +157,7 @@ def test_route_gap_median_is_pinned():
     assert median == pytest.approx(2.7484857477013826e-07, rel=1e-7)
 
 
-def test_route_cross_check_detects_convention_fault(monkeypatch):
+def _assert_skew_caught(monkeypatch, part):
     phi = 0.41837
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(0, phi)
@@ -165,13 +165,23 @@ def test_route_cross_check_detects_convention_fault(monkeypatch):
 
     def skewed(m, kappas, free_block):
         sol = real_solve(m, kappas, free_block)
-        sol.n_plus.samples[...] += 1e-3
+        getattr(sol, part).samples[...] += 1e-3
         return sol
 
     monkeypatch.setattr(rbvp, "solve_step", skewed)
     with pytest.raises(ValueError, match="quadrature/convention fault"):
         example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
     example2x2._checked_phis.discard(phi)
+
+
+def test_route_cross_check_detects_convention_fault(monkeypatch):
+    _assert_skew_caught(monkeypatch, "n_plus")
+
+
+def test_route_cross_check_detects_a_skew_of_n_minus_alone(monkeypatch):
+    # N- comes from the identity N- = M - (plus - E), not from a transform
+    # of its own: a fault there alone must offset the routes too
+    _assert_skew_caught(monkeypatch, "n_minus")
 
 
 def test_route_cross_check_samples_only_the_split(monkeypatch):

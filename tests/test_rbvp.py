@@ -196,14 +196,14 @@ def test_solve_step_leaves_supplied_modes_alone():
     g, lam, m = _step_inputs(257)
     e = np.array([[0.7, -1j]])
     modes = cauchy.step_modes(m.samples)
-    plus, minus = modes.plus.copy(), modes.minus.copy()
+    plus, c0 = modes.plus.copy(), modes.c0.copy()
     kappas = rbvp.detect_kappas(lam)
     first = rbvp.solve_step(m, kappas, e, modes)
     second = rbvp.solve_step(m, kappas, e, modes)
     assert np.array_equal(first.n_plus.samples, second.n_plus.samples)
     assert np.array_equal(first.n_minus.samples, second.n_minus.samples)
     assert np.array_equal(modes.plus, plus)
-    assert np.array_equal(modes.minus, minus)
+    assert np.array_equal(modes.c0, c0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
