@@ -34,7 +34,7 @@ residuals = {}
 for order in ORDERS:
     for phi in PHIS:
         m0 = sample(build_example(phi).M0, grid)
-        res = run_factorization(lam0, m0, PROFILE, order, convergence=None)
+        res = run_factorization(lam0, m0, PROFILE, order)
         residuals[order, phi] = res.residual_sup
 
 header = "order | " + " | ".join(f"phi={p:<5g}" for p in PHIS) + " | ratios on halving"
@@ -50,7 +50,7 @@ for order in ORDERS:
 # factor conditions for one of the runs: h+ columns that must stay exactly
 # at the unit vectors, the infinity product, and determinant margins
 m0 = sample(build_example(0.1).M0, grid)
-res = run_factorization(lam0, m0, PROFILE, 3, convergence=None)
+res = run_factorization(lam0, m0, PROFILE, 3)
 rep = check_factor_conditions(res)
 print(f"\nfactor conditions at phi=0.1, order 3:")
 print(f"  unit column defect      {rep.unit_column_defect:.2e}  ok={rep.unit_columns_ok}")

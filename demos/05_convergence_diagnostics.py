@@ -49,11 +49,10 @@ print("  (* = A < 1, certified regime)")
 phi = 1e-4
 profile = split_indices((1, 0))
 m0 = sample(build_example(phi).M0, grid)
-res = run_factorization(build_lambda0(profile, grid), m0, profile, 6,
-                        mu=0.5, c_mu=1.0, convergence=True)
-d = res.diagnostics
+res = run_factorization(build_lambda0(profile, grid), m0, profile, 6)
+d = convergence_constant(m0, mu=0.5, c_mu=1.0)  # a property of M0, not of the solve
 print(f"\nphi = {phi}: A = {d.A:.4f}, perturbation margin 1/A = {d.epsilon_bound:.1f}, "
       f"measured residual = {res.residual_sup:.2e}")
 print("  r : max(|N_r+|, |N_r-|)^(1/r) vs A")
-for r, (np_sup, nm_sup) in enumerate(d.per_step_norms, start=1):
-    print(f"  {r} : {max(np_sup, nm_sup) ** (1.0 / r):.5f} <= {d.A:.5f}")
+for step in res.steps:
+    print(f"  {step.r} : {max(step.sup_n_plus, step.sup_n_minus) ** (1.0 / step.r):.5f} <= {d.A:.5f}")

@@ -11,7 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Output files are byte-deterministic for a fixed config: every float is
 rendered with 17 significant digits, columns are comma-separated, lines end
 with a bare newline, and JSON keys are sorted. Non-finite diagnostic values
-are stored as null.
+are stored as null; a config holding a non-finite number is rejected.
+
+One problem path: the example gives a closed-form M0 per phi, a custom
+problem one at the placeholder phi = 0.0. Each is sampled, shifted, factored
+and diagnosed: Hoelder norm on min(N, 2048) nodes, C_mu bound on
+min(N, 1024). The example adds its first-remainder table.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,23 +103,28 @@ def _require_int(data, key, minimum, default):
     return v
 
 
-def _require_real(data, key, default):
-    if key not in data:
-        return default
-    v = data[key]
+def _finite_real(v, where):
+    """v as a finite float; the ConfigError names where."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a real number")
-    return float(v)
+        raise ConfigError(f"{where} must be a real number")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {v}")
+    return v
+
+
+def _require_real(data, key, default):
+    return _finite_real(data[key], key) if key in data else default
 
 
 def _as_complex(v, where):
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in v
-    ):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{where} entries must be numbers or [re, im] pairs")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
+        raise ConfigError(f"{where} entries must be numbers or [re, im] pairs")
+    return complex(*(_finite_real(p, where) for p in parts))
 
 
 def _parse_block_list(raw):
@@ -163,12 +173,13 @@ def _parse_custom(raw):
         )
     try:
         m0 = ClosedForm.from_dict(raw["m0_spec"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        real_pole = m0.has_real_pole()
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"m0_spec: {exc}") from exc
     n = profile.n
     if m0.shape != (n, n):
         raise ConfigError(f"m0_spec must describe a {n} x {n} matrix, got {m0.shape}")
-    if m0.has_real_pole():
+    if real_pole:
         raise ConfigError("m0_spec has a pole on the real axis")
     return CustomProblem(indices=tuple(idx), lambda_s=ls, m0=m0)
 
@@ -177,7 +188,7 @@ def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document; every failure names the offending key."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -234,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
         for p in pl:
             if isinstance(p, bool) or not isinstance(p, (int, float)) or not p > 0:
                 raise ConfigError(f"phi_list entries must be positive reals, got {p!r}")
-            phis.append(float(p))
+            phis.append(_finite_real(p, "phi_list entries"))
         cfg.phi_list = phis
     else:
         for key in ("variant", "phi_list"):
@@ -365,20 +376,13 @@ def run(config: RunConfig) -> dict:
     grid = MobiusGrid.build(config.grid_points)
     if config.problem == "example":
         profile = rbvp.split_indices((1, 0))
-        phi_values = list(config.phi_list)
-        problems = []
-        for phi in phi_values:
-            inst = example2x2.build_example(phi)
-            problems.append((phi, sample(inst.M0, grid)))
+        problems = [(phi, example2x2.build_example(phi).M0) for phi in config.phi_list]
     else:
         profile = rbvp.split_indices(config.custom.indices)
-        m0_smf = sample(config.custom.m0, grid)
-        if profile.s:
-            m0_smf = rbvp.shift_density(m0_smf, profile.s)
-        phi_values = [0.0]
-        problems = [(0.0, m0_smf)]
+        problems = [(0.0, config.custom.m0)]
 
-    if config.strategy == "explicit":
+    strategy = config.strategy
+    if strategy == "explicit":
         n, k = profile.n, profile.k
         for bi, block in enumerate(config.explicit_constants):
             if block.shape != (n - k, n):
@@ -386,33 +390,20 @@ def run(config: RunConfig) -> dict:
                     f"explicit_constants[{bi}] must be {n - k} x {n} for this problem, "
                     f"got {block.shape[0]} x {block.shape[1]}"
                 )
+        strategy = ExplicitConstants(config.explicit_constants)
 
     lambda0 = build_lambda0(profile, grid)
-    coarse = grid if grid.n_points <= 2048 else MobiusGrid.build(2048)
-
     results = []
-    for phi, m0 in problems:
+    for phi, m0_form in problems:
+        m0 = rbvp.shift_density(sample(m0_form, grid), profile.s)
         res = run_factorization(
-            lambda0,
-            m0,
-            profile,
-            config.order,
-            strategy=config.strategy,
-            explicit_constants=config.explicit_constants,
-            refine_check=config.refine_check,
-            mu=config.mu,
-            c_mu=config.c_mu,
+            lambda0, m0, profile, config.order, strategy=strategy, refine_check=config.refine_check
         )
-        diag = res.diagnostics
-        if diag is None:
-            m0_coarse = sample(m0.closed_form, coarse) if m0.closed_form is not None else m0
-            diag = convergence_constant(m0_coarse, config.mu, config.c_mu)
-            diag.per_step_norms = tuple((r.sup_n_plus, r.sup_n_minus) for r in res.steps)
-        report = check_factor_conditions(res)
-        results.append((phi, res, report, diag))
+        diag = convergence_constant(m0, config.mu, config.c_mu)
+        results.append((phi, res, check_factor_conditions(res), diag))
 
     if config.problem == "example":
-        _, fig_rows = example2x2.figure_data(config.variant, phi_values, grid)
+        _, fig_rows = example2x2.figure_data(config.variant, config.phi_list, grid)
     else:
         fig_rows = np.empty((0, len(example2x2.FIGURE_COLUMNS)))
 
@@ -434,7 +425,7 @@ def run(config: RunConfig) -> dict:
         "mu": config.mu,
         "c_mu": config.c_mu,
         "c_mu_empirical_lower_bound": _json_safe(
-            c_mu_lower_bound(coarse if coarse.n_points <= 1024 else MobiusGrid.build(1024), config.mu)
+            c_mu_lower_bound(MobiusGrid.build(min(config.grid_points, 1024)), config.mu)
         ),
         "alpha": [_json_safe(float(a)) for a in alpha_coefficients(12)],
         "per_phi": [

@@ -15,13 +15,19 @@ of h- Lambda0 h+ against Lambda0 + M0 measures pure truncation on the same
 grid (and truncation plus interpolation on a refined one). The common
 unimodular shift w^s multiplies both sides of the factorization identically
 and drops out of every sup norm taken on the line.
+
+run_factorization only solves. The a-priori constant A = |M0|_mu (1 + C_mu)^2
+is a property of M0 and comes from convergence_constant, which takes the
+Hoelder norm on min(N, DIAGNOSTIC_NODES = 2048) nodes: an M0 on a larger
+grid is sampled there from its closed form, any other M0 is used as given.
+The CLI bounds C_mu with c_mu_lower_bound on min(N, 1024) nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -96,17 +102,15 @@ _BUILTIN_STRATEGIES = {
 }
 
 
-def _as_strategy(strategy, explicit_constants=None):
+def _as_strategy(strategy):
     if hasattr(strategy, "free_block"):
         return strategy
-    if strategy == "explicit":
-        if explicit_constants is None:
-            raise ValueError("strategy 'explicit' requires explicit_constants")
-        return ExplicitConstants(explicit_constants)
     try:
         return _BUILTIN_STRATEGIES[strategy]()
     except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+        raise ValueError(
+            f"unknown strategy {strategy!r}; pass explicit constants as ExplicitConstants(blocks)"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,11 @@ def alpha_coefficients(r_max: int):
     return alphas
 
 
-@dataclass(eq=False)
+# the Hoelder norm of M0 is taken on at most this many nodes
+DIAGNOSTIC_NODES = 2048
+
+
+@dataclass(frozen=True)
 class ConvergenceDiagnostics:
     A: float
     epsilon_bound: float
@@ -153,8 +161,6 @@ class ConvergenceDiagnostics:
     hoelder_norm_N: float
     mu: float
     small_enough: bool
-    alpha: tuple
-    per_step_norms: tuple = ()
 
 
 def convergence_from_norm(norm: float, c_mu: float) -> float:
@@ -167,7 +173,9 @@ def convergence_constant(m0: SampledMatrixFunction, mu: float, c_mu: float) -> C
 
     The small parameter is folded into m0, so the reported A already bounds
     the series ratio; partial sums converge geometrically when A < 1 and the
-    admissible-perturbation bound is 1/A.
+    admissible-perturbation bound is 1/A. An m0 on more than DIAGNOSTIC_NODES
+    nodes is sampled on that many from its closed form; an m0 on fewer, or
+    without a closed form, is used as given.
     """
     mu = float(mu)
     c_mu = float(c_mu)
@@ -175,6 +183,8 @@ def convergence_constant(m0: SampledMatrixFunction, mu: float, c_mu: float) -> C
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     if c_mu <= 0.0:
         raise ValueError(f"c_mu must be positive, got {c_mu}")
+    if m0.grid.n_points > DIAGNOSTIC_NODES and m0.closed_form is not None:
+        m0 = sample(m0.closed_form, MobiusGrid.build(DIAGNOSTIC_NODES))
     est = hoelder_norm(m0, mu)
     a = convergence_from_norm(est.total, c_mu)
     eps = float("inf") if a == 0.0 else 1.0 / a
@@ -185,7 +195,6 @@ def convergence_constant(m0: SampledMatrixFunction, mu: float, c_mu: float) -> C
         hoelder_norm_N=est.total,
         mu=mu,
         small_enough=bool(a < 1.0),
-        alpha=tuple(float(v) for v in alpha_coefficients(12)),
     )
 
 
@@ -208,6 +217,9 @@ def c_mu_lower_bound(grid: MobiusGrid, mu: float) -> float:
 
 # ---------------------------------------------------------------------------
 # the driver
+
+# a remainder with a smaller sup norm ends the loop
+ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -238,7 +250,6 @@ class FactorizationResult:
     lambda_factor: SampledMatrixFunction
     residual_sup: float
     steps: list
-    diagnostics: Optional[ConvergenceDiagnostics]
     lambda0: SampledMatrixFunction
     m0: SampledMatrixFunction
 
@@ -305,32 +316,22 @@ def run_factorization(
     profile: PartialIndexProfile,
     order: int,
     strategy: Union[str, object] = "canonical-zero",
-    explicit_constants=None,
-    atol: float = 1e-12,
-    mu: float = 0.5,
-    c_mu: float = 1.0,
     refine_check: int = 1,
-    convergence: Optional[bool] = None,
 ) -> FactorizationResult:
     """Run the order-by-order scheme in the shifted frame.
 
     m0 must already carry the w^(-s) shift when the profile has s != 0; the
     assembled factors then pair with the full diagonal (exponents as given in
     the profile), and the shift cancels from all reported sup norms.
-    Early stop: a remainder with sup norm below atol ends the loop.
-    `convergence` turns the Hoelder diagnostics on (True) or off (False);
-    None computes them on grids of up to 8192 nodes.
+    Early stop: a remainder with sup norm below ATOL ends the loop.
+    The run only solves; convergence_constant gives the diagnostics of m0.
     """
-    if convergence is not None and not isinstance(convergence, (bool, np.bool_)):
-        raise TypeError(
-            f"convergence must be None or a bool, got {type(convergence).__name__}"
-        )
     if not isinstance(profile, PartialIndexProfile):
         profile = split_indices(profile)
     order = int(order)
     if order < 1:
         raise ValueError("order must be >= 1")
-    strat = _as_strategy(strategy, explicit_constants)
+    strat = _as_strategy(strategy)
     grid = m0.grid
     n, k = profile.n, profile.k
     if m0.dims != (n, n):
@@ -351,7 +352,7 @@ def run_factorization(
         sup_m = sup_norm(current)
         if not np.isfinite(sup_m):
             raise NumericalError(f"remainder at step {r} contains non-finite values")
-        if sup_m < atol:
+        if sup_m < ATOL:
             break
         modes = cauchy.step_modes(current.samples)  # the step's one forward and one inverse FFT
         # the strategy gets its own copy: modes.plus_sum goes into the step
@@ -391,12 +392,6 @@ def run_factorization(
     h_plus = SampledMatrixFunction.node_last(grid, hp_samples)
     lambda_factor = sample(ClosedForm.mobius_power_diag(profile.indices), grid)
 
-    diag = None
-    want_diag = convergence if convergence is not None else grid.n_points <= 8192
-    if want_diag:
-        diag = convergence_constant(m0, mu, c_mu)
-        diag.per_step_norms = tuple((step.sup_n_plus, step.sup_n_minus) for step in steps)
-
     result = FactorizationResult(
         grid=grid,
         profile=profile,
@@ -408,7 +403,6 @@ def run_factorization(
         lambda_factor=lambda_factor,
         residual_sup=0.0,
         steps=steps,
-        diagnostics=diag,
         lambda0=lambda0,
         m0=m0,
     )
@@ -416,7 +410,7 @@ def run_factorization(
     return result
 
 
-def check_factor_conditions(result: FactorizationResult, k: Optional[int] = None) -> FactorConditionReport:
+def check_factor_conditions(result: FactorizationResult) -> FactorConditionReport:
     """Defects of the two normalization conditions plus node-wise invertibility.
 
     Columns q < k of h-(-i) are unit vectors by the column structure of the
@@ -424,9 +418,7 @@ def check_factor_conditions(result: FactorizationResult, k: Optional[int] = None
     h-(inf) h+(inf) equals I only up to the truncation order, so its defect
     is reported as a magnitude with a sanity flag rather than a tolerance.
     """
-    if k is None:
-        k = result.profile.k
-    n = result.profile.n
+    n, k = result.profile.n, result.profile.k
     hm_at = result.evaluate_h_minus(-1j)
     unit_defect = 0.0
     if k:

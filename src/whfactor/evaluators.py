@@ -371,8 +371,13 @@ class ClosedForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClosedForm":
+        def finite(v):
+            if not np.isfinite(v):
+                raise ValueError(f"coefficients and phases must be finite, got {v}")
+            return v
+
         def unpair(v):
-            return complex(v[0], v[1])
+            return finite(complex(v[0], v[1]))
 
         entries = []
         for row in data["entries"]:
@@ -383,7 +388,7 @@ class ClosedForm:
                         Term(
                             tuple(unpair(v) for v in t["num"]),
                             tuple(unpair(v) for v in t.get("den", [[1.0, 0.0]])),
-                            float(t.get("phase", 0.0)),
+                            finite(float(t.get("phase", 0.0))),
                         )
                         for t in cell
                     )

@@ -130,7 +130,7 @@ def test_criterion_05_residual_order():
     sups = {1: [], 2: []}
     for order in (1, 2):
         for phi in phis:
-            res = _example_result(phi, g, order, convergence=False)
+            res = _example_result(phi, g, order)
             sups[order].append(res.residual_sup)
     r1 = [a / b for a, b in zip(sups[1], sups[1][1:])]
     r2 = [a / b for a, b in zip(sups[2], sups[2][1:])]
@@ -173,7 +173,7 @@ def test_criterion_07_factor_conditions():
     defects = []
     worst_unit = 0.0
     for phi in (0.2, 0.1, 0.05, 0.025):
-        res = _example_result(phi, g, 2, convergence=False)
+        res = _example_result(phi, g, 2)
         rep = check_factor_conditions(res)
         worst_unit = max(worst_unit, rep.unit_column_defect)
         defects.append(rep.infinity_product_defect)
@@ -245,7 +245,7 @@ def test_criterion_10_convergence_diagnostics():
     # (c) order-6 partial sums at phi = 0.01 are Cauchy: successive factor
     # terms shrink geometrically
     g = MobiusGrid.build(2048)
-    res = _example_result(0.01, g, 6, convergence=False)
+    res = _example_result(0.01, g, 6)
     sups = [rec.sup_n_plus for rec in res.steps]
     ratios = [b / a for a, b in zip(sups, sups[1:])]
     ok_c = len(sups) == 6 and all(r < 0.2 for r in ratios)

@@ -13,6 +13,7 @@ import pytest
 
 from whfactor import cli, engine, example2x2
 from whfactor.cli import ConfigError, RunConfig, main, parse_config, run
+from whfactor.grid import MobiusGrid, hoelder_norm, sample
 
 
 def _example_cfg(**over):
@@ -57,6 +58,15 @@ def test_parse_config_defaults():
         (_example_cfg(explicit_constants=[[[0.0, 0.0]]]), "only valid with strategy"),
         (_example_cfg(output_dir=""), "output_dir must be a nonempty string"),
         (_example_cfg(custom={}), "custom applies to the custom problem only"),
+        # non-finite numbers, one per key, and JSON that json.loads cannot take
+        (_example_cfg(c_mu=float("inf")), "c_mu must be finite, got inf"),
+        (_example_cfg(mu=float("nan")), "mu must be finite, got nan"),
+        ('{"problem": "example", "variant": 1, "phi_list": [1e999]}',
+         "phi_list entries must be finite, got inf"),
+        (_example_cfg(strategy="explicit", explicit_constants=[[[0.0, [1.0, float("nan")]]]]),
+         r"explicit_constants\[0\] must be finite, got nan"),
+        ("[" * 200000 + "]" * 200000, "not valid JSON"),
+        ('{"order": ' + "9" * 5000 + "}", "not valid JSON"),
     ],
 )
 def test_parse_config_rejections(text, needle):
@@ -116,6 +126,10 @@ def test_parse_custom_config():
     assert cfg.custom.m0.shape == (2, 2)
 
 
+def _first_term(data):
+    return data["custom"]["m0_spec"]["entries"][0][0][0]
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -129,6 +143,9 @@ def test_parse_custom_config():
         (lambda c: c["custom"].update(m0_spec={"entries": [[[{"num": [[1.0, 0.0]]}]]]}),
          "must describe a 2 x 2"),
         (lambda c: c.update(variant=1), "applies to the example problem only"),
+        (lambda c: _first_term(c).update(num=[[float("nan"), 0.05]]), "must be finite, got"),
+        (lambda c: _first_term(c).update(den=[[float("nan"), 1.0], [1.0, 0.0]]), "must be finite"),
+        (lambda c: _first_term(c).update(phase=float("inf")), "must be finite, got inf"),
     ],
 )
 def test_parse_custom_rejections(mutate, needle):
@@ -276,6 +293,19 @@ def test_run_custom_problem(tmp_path):
     assert summary["residual_sup"][0] == diag["per_phi"][0]["residual_sup"]
 
 
+def test_diagnostics_grid_rule(tmp_path):
+    # at N = 4096 the Hoelder norm comes from M0 sampled on 2048 nodes, and
+    # the C_mu bound from a 1024-node grid
+    cfg = parse_config(_custom_cfg(grid_points=4096, order=1))
+    cfg.output_dir = str(tmp_path / "big")
+    run(cfg)
+    diag = json.loads((tmp_path / "big" / "diagnostics.json").read_text())
+    want = hoelder_norm(sample(cfg.custom.m0, MobiusGrid.build(2048)), cfg.mu).total
+    assert diag["per_phi"][0]["convergence"]["hoelder_norm"] == want
+    assert want != hoelder_norm(sample(cfg.custom.m0, MobiusGrid.build(4096)), cfg.mu).total
+    assert diag["c_mu_empirical_lower_bound"] == engine.c_mu_lower_bound(MobiusGrid.build(1024), cfg.mu)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_example_cfg(grid_points=128, phi_list=[0.5]))
@@ -292,6 +322,14 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["run", "--config", str(bad)]) == 2
     assert "missing required key problem" in capsys.readouterr().err
+
+    # a non-finite number is a config error: no run, no non-strict JSON written
+    for text in (_example_cfg(c_mu=float("inf")),
+                 _example_cfg(strategy="explicit", explicit_constants=[[[float("inf"), 0.0]]])):
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "nf")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "nf").exists()
 
 
 def test_main_order_and_grid_overrides(tmp_path):

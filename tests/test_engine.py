@@ -8,7 +8,7 @@ import pytest
 
 from whfactor import cauchy, engine, example2x2, rbvp
 from whfactor.evaluators import ClosedForm, Term
-from whfactor.grid import MobiusGrid, SampledMatrixFunction, sample, sup_norm
+from whfactor.grid import MobiusGrid, SampledMatrixFunction, hoelder_norm, sample, sup_norm
 
 PROFILE = rbvp.split_indices((1, 0))
 
@@ -46,7 +46,8 @@ def test_convergence_constant_hand_fed():
     m0 = sample(ClosedForm.zeros(2), g)
     d = engine.convergence_constant(m0, mu=0.5, c_mu=1.0)
     assert d.A == 0.0 and d.epsilon_bound == np.inf and d.small_enough
-    assert len(d.alpha) == 12 and d.alpha[0] == 0.5
+    alphas = engine.alpha_coefficients(12)  # the series the CLI reports next to A
+    assert len(alphas) == 12 and alphas[0] == 0.5
     with pytest.raises(ValueError):
         engine.convergence_constant(m0, mu=1.2, c_mu=1.0)
     with pytest.raises(ValueError):
@@ -89,9 +90,9 @@ def test_next_remainder_matches_direct_sum():
 def test_strategy_dispatch():
     assert engine._as_strategy("canonical-zero").name == "canonical-zero"
     assert engine._as_strategy("minimize-remainder-infinity").name == "minimize-remainder-infinity"
-    exp = engine._as_strategy("explicit", [np.zeros((1, 2))])
+    exp = engine._as_strategy(engine.ExplicitConstants([np.zeros((1, 2))]))
     assert exp.name == "explicit"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ExplicitConstants"):
         engine._as_strategy("explicit")
     with pytest.raises(ValueError):
         engine._as_strategy("no-such-strategy")
@@ -115,7 +116,7 @@ def test_explicit_constants_repeat_last():
 
 def test_run_telescoping_identity():
     # h- Lambda0 h+ - (Lambda0 + M0) equals the cross tail sum_{j+l>R} Nj- Nl+
-    g, res = _example_run(phi=0.3, n_points=512, order=3, convergence=False)
+    g, res = _example_run(phi=0.3, n_points=512, order=3)
     R = res.order_reached
     lam0 = res.lambda0.samples
     lhs = res.h_minus.samples @ lam0 @ res.h_plus.samples - (lam0 + res.m0.samples)
@@ -135,8 +136,7 @@ def test_residual_ratio_order_scaling():
         sups = []
         for phi in (0.2, 0.1):
             inst = example2x2.build_example(phi)
-            r = engine.run_factorization(lam0, sample(inst.M0, g), PROFILE, order,
-                                         convergence=False)
+            r = engine.run_factorization(lam0, sample(inst.M0, g), PROFILE, order)
             sups.append(r.residual_sup)
         ratio = sups[0] / sups[1]
         assert abs(ratio - target) / target < 0.15, (order, ratio)
@@ -144,9 +144,10 @@ def test_residual_ratio_order_scaling():
 
 def test_step_norms_bounded_by_constant_when_small():
     # with A < 1 the per-step norms obey ||N_r||^(1/r) <= A
-    g, res = _example_run(phi=1e-4, n_points=2048, order=6, convergence=True)
-    A = res.diagnostics.A
-    assert res.diagnostics.small_enough
+    g, res = _example_run(phi=1e-4, n_points=2048, order=6)
+    diag = engine.convergence_constant(res.m0, mu=0.5, c_mu=1.0)
+    A = diag.A
+    assert diag.small_enough
     for rec in res.steps:
         r = rec.r
         assert rec.sup_n_plus ** (1.0 / r) <= A * 1.01
@@ -182,7 +183,7 @@ def test_infinity_values_consistent_with_far_evaluation():
 @pytest.mark.parametrize("strategy", ["canonical-zero", "minimize-remainder-infinity"])
 def test_h_minus_infinity_sums_the_step_limits(strategy):
     # N-(inf) has one definition: h-(inf) is I plus each step's minus_at_infinity()
-    _, res = _example_run(phi=0.2, n_points=512, order=4, strategy=strategy, convergence=False)
+    _, res = _example_run(phi=0.2, n_points=512, order=4, strategy=strategy)
     want = np.eye(2, dtype=complex)
     for step in res.steps:
         want = want + step.minus_at_infinity()
@@ -191,14 +192,14 @@ def test_h_minus_infinity_sums_the_step_limits(strategy):
 
 def test_h_plus_at_the_normalization_point():
     # h+ is analytic at z = i, where the index-1 rows take their limit
-    g, res = _example_run(phi=0.1, n_points=1024, order=2, convergence=False)
+    g, res = _example_run(phi=0.1, n_points=1024, order=2)
     at_i = res.evaluate_h_plus(1j)
     assert np.all(np.isfinite(at_i))
     assert np.abs(at_i - res.evaluate_h_plus(1j + 1e-7)).max() < 1e-8
 
 
 def test_factor_evaluation_checks_the_half_plane():
-    g, res = _example_run(phi=0.1, n_points=256, order=1, convergence=False)
+    g, res = _example_run(phi=0.1, n_points=256, order=1)
     for z in (-2j, 3.0, 1.0 - 1e-3j):
         with pytest.raises(ValueError, match="upper half-plane"):
             res.evaluate_h_plus(z)
@@ -243,13 +244,13 @@ def test_explicit_block_shape_validated():
     lam0 = engine.build_lambda0(PROFILE, g)
     with pytest.raises(ValueError):
         engine.run_factorization(lam0, sample(inst.M0, g), PROFILE, order=1,
-                                 strategy="explicit", explicit_constants=[np.zeros((2, 2))])
+                                 strategy=engine.ExplicitConstants([np.zeros((2, 2))]))
 
 
 def test_minimize_infinity_strategy_zeroes_free_rows_at_infinity():
     # free constant rows equal the plus sums, so N_r+(inf) has zero free rows
     g, res = _example_run(phi=0.1, n_points=1024, order=3,
-                          strategy="minimize-remainder-infinity", convergence=False)
+                          strategy="minimize-remainder-infinity")
     k = PROFILE.k
     for step in res.steps:
         n_plus_inf = step.plus_at_infinity()
@@ -267,33 +268,42 @@ def test_build_lambda0_shifted_frame():
     assert np.abs(lam0.samples[:, 0, 1]).max() == 0.0
 
 
-def test_convergence_auto_grid_policy():
-    _, res_small = _example_run(phi=0.1, n_points=512, order=1)
-    assert res_small.diagnostics is not None
-    g = MobiusGrid.build(16384)
-    inst = example2x2.build_example(0.1)
-    lam0 = engine.build_lambda0(PROFILE, g)
-    res_big = engine.run_factorization(lam0, sample(inst.M0, g), PROFILE, 1)
-    assert res_big.diagnostics is None
+def test_convergence_grid_rule():
+    # the Hoelder norm is taken on at most DIAGNOSTIC_NODES nodes: a larger
+    # closed-form M0 is sampled there, any other M0 stays on its own grid
+    nodes = engine.DIAGNOSTIC_NODES
+    assert nodes == 2048
+    m0_form = example2x2.build_example(0.1).M0
+    at_rule = engine.convergence_constant(sample(m0_form, MobiusGrid.build(nodes)), 0.5, 1.0)
+    big = sample(m0_form, MobiusGrid.build(4 * nodes))
+    assert engine.convergence_constant(big, 0.5, 1.0) == at_rule
+    bare = SampledMatrixFunction.node_last(big.grid, big.data.copy())
+    on_own_grid = engine.convergence_constant(bare, 0.5, 1.0)
+    assert on_own_grid.hoelder_norm_N == hoelder_norm(big, 0.5).total
+    assert on_own_grid.hoelder_norm_N != at_rule.hoelder_norm_N
+    # a shifted M0 at or below the rule keeps its shifted samples
+    small = rbvp.shift_density(sample(m0_form, MobiusGrid.build(512)), -1)
+    assert (engine.convergence_constant(small, 0.5, 1.0).hoelder_norm_N
+            == hoelder_norm(small, 0.5).total)
 
 
 def test_refined_residual_regimes():
     # truncation-dominated regime: node residual and refined residual agree
-    _, res = _example_run(phi=0.3, n_points=2048, order=2, convergence=False)
+    _, res = _example_run(phi=0.3, n_points=2048, order=2)
     r1 = res.residual_sup_at(1)
     r2 = res.residual_sup_at(2)
     assert np.isclose(r1, res.residual_sup)
     assert 0.8 < r2 / r1 < 1.5
     # at small phi the refined residual also sees the off-node interpolation
     # error of the oscillatory density near w = 1, so it can only grow
-    _, res_s = _example_run(phi=0.05, n_points=2048, order=2, convergence=False)
+    _, res_s = _example_run(phi=0.05, n_points=2048, order=2)
     assert res_s.residual_sup_at(2) >= res_s.residual_sup_at(1)
     with pytest.raises(ValueError):
         res.residual_sup_at(0)
 
 
 def test_refined_residual_builds_one_grid(monkeypatch):
-    _, res = _example_run(phi=0.1, n_points=256, order=2, convergence=False)
+    _, res = _example_run(phi=0.1, n_points=256, order=2)
     # the residual as written before: each operand resampled on its own grid
     hm, hp, l0, m0 = (cauchy.resample(f, 3) for f in (res.h_minus, res.h_plus,
                                                        res.lambda0, res.m0))
@@ -332,7 +342,7 @@ def test_one_forward_fft_per_step(monkeypatch):
         for order in (1, 4):
             counts.update(fft=0, ifft=0)
             _, res = _example_run(phi=0.1, n_points=256, order=order, strategy=strategy,
-                                  refine_check=1, convergence=False)
+                                  refine_check=1)
             assert res.order_reached == order
             assert counts == {"fft": order, "ifft": order}
 
@@ -356,20 +366,11 @@ def test_strategy_writing_plus_sum_leaves_records_alone():
             return block
 
     _, ref = _example_run(phi=0.1, n_points=256, order=3,
-                          strategy="minimize-remainder-infinity", convergence=False)
+                          strategy="minimize-remainder-infinity")
     _, res = _example_run(phi=0.1, n_points=256, order=3,
-                          strategy=Scribbler(), convergence=False)
+                          strategy=Scribbler())
     for a, b in zip(res.steps, ref.steps):
         assert np.array_equal(a.plus_sum, b.plus_sum)
         assert np.array_equal(a.plus_at_infinity(), b.plus_at_infinity())
         assert np.array_equal(a.c_total, b.c_total)
     assert np.array_equal(res.h_plus.samples, ref.h_plus.samples)
-
-
-def test_run_factorization_rejects_non_bool_convergence():
-    g = MobiusGrid.build(64)
-    m0 = sample(example2x2.build_example(0.1).M0, g)
-    diag = engine.convergence_constant(m0, mu=0.5, c_mu=1.0)
-    with pytest.raises(TypeError, match="convergence must be None or a bool"):
-        engine.run_factorization(engine.build_lambda0(PROFILE, g), m0, PROFILE, 1,
-                                 convergence=diag)
