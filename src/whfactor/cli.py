@@ -13,6 +13,10 @@ rendered with 17 significant digits, columns are comma-separated, lines end
 with a bare newline, and JSON keys are sorted. Non-finite diagnostic values
 are stored as null; a config holding a non-finite number is rejected.
 
+One renderer, _csv_lines, writes every CSV row: a table is a run of blocks
+of rows, each cell has one format, and a repeat is formatted once (a
+column constant within a block once per block, the grid's x once per grid).
+
 One problem path: the example gives a closed-form M0 per phi, a custom
 problem one at the placeholder phi = 0.0. Each is sampled, shifted, factored
 and diagnosed: Hoelder norm on min(N, 2048) nodes, C_mu bound on
@@ -92,15 +96,25 @@ class RunConfig:
     custom: Optional[CustomProblem] = None
 
 
-def _require_int(data, key, minimum, default):
+_MINIMUMS = {"order": 1, "grid_points": 64, "refine_check": 1}
+
+
+def _require_int(data, key, default):
     if key not in data:
         return default
     v = data[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{key} must be an integer")
-    if v < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
+    if v < _MINIMUMS[key]:
+        raise ConfigError(f"{key} must be >= {_MINIMUMS[key]}, got {v}")
     return v
+
+
+def _require_output_dir(data, default):
+    out = data.get("output_dir", default)
+    if not isinstance(out, str) or not out:
+        raise ConfigError("output_dir must be a nonempty string")
+    return out
 
 
 def _finite_real(v, where):
@@ -202,9 +216,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"problem must be 'example' or 'custom', got {problem!r}")
 
     cfg = RunConfig(problem=problem)
-    cfg.order = _require_int(data, "order", 1, cfg.order)
-    cfg.grid_points = _require_int(data, "grid_points", 64, cfg.grid_points)
-    cfg.refine_check = _require_int(data, "refine_check", 1, cfg.refine_check)
+    cfg.order = _require_int(data, "order", cfg.order)
+    cfg.grid_points = _require_int(data, "grid_points", cfg.grid_points)
+    cfg.refine_check = _require_int(data, "refine_check", cfg.refine_check)
     cfg.mu = _require_real(data, "mu", cfg.mu)
     if not 0.0 < cfg.mu < 1.0:
         raise ConfigError(f"mu must lie strictly inside (0, 1), got {cfg.mu}")
@@ -222,10 +236,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.explicit_constants = _parse_block_list(data["explicit_constants"])
     elif "explicit_constants" in data:
         raise ConfigError("explicit_constants is only valid with strategy 'explicit'")
-    out = data.get("output_dir", cfg.output_dir)
-    if not isinstance(out, str) or not out:
-        raise ConfigError("output_dir must be a nonempty string")
-    cfg.output_dir = out
+    cfg.output_dir = _require_output_dir(data, cfg.output_dir)
 
     if problem == "example":
         if "custom" in data:
@@ -265,43 +276,65 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _write_csv(path, header, text):
-    """Write the header line, then the rendered rows, an iterable of strings."""
+def _x_text(grid) -> list:
+    return list(map("%.17g".__mod__, grid.x_nodes.tolist()))
+
+
+def _csv_lines(blocks):
+    """The CSV lines of each block in turn; a block is one cell per column.
+
+    A cell is a str, the same on every row; a list of texts, one per row
+    (the grid's x, from _x_text); or a float array. An array that holds one
+    value, judged by its bytes so that -0.0 and 0.0 keep their own text, is
+    formatted once into the block's line, any other row by row.
+    """
+    for block in blocks:
+        cells, columns = [], []
+        for cell in block:
+            if isinstance(cell, str):
+                cells.append(cell)
+            elif isinstance(cell, list):
+                cells.append("%s")
+                columns.append(cell)
+            else:
+                raw = cell.tobytes()
+                if raw == raw[:8] * len(cell):
+                    cells.append(_fmt(cell[0]))
+                else:
+                    cells.append("%.17g")
+                    columns.append(cell.tolist())
+        line = ",".join(cells) + "\n"
+        yield from map(line.__mod__, zip(*columns))
+
+
+def _write_csv(path, header, blocks):
+    """Write the header line, then the lines of the blocks (see _csv_lines)."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(text)
+        fh.writelines(_csv_lines(blocks))
 
 
-def _column_text(col) -> list:
-    """_fmt of each value of a float column; a value that repeats is formatted once.
-
-    A column made of runs of one value (a constant, or phi, p and q in
-    stacked blocks) costs one format per run, and one that repeats its
-    first L values (x in stacked blocks) the formats of those L. Repeats
-    are confirmed on the bytes, so -0.0 and 0.0 keep their own text.
-    """
-    col = np.ascontiguousarray(col, dtype=float)
-    n, raw = len(col), col.tobytes()
-    cuts = [i for i, new in enumerate((col[1:] != col[:-1]).tolist(), 1) if new]
-    if len(cuts) < n // 2:
-        text = []
-        for a, b in zip([0, *cuts], [*cuts, n]):
-            if raw[8 * a:8 * b] == raw[8 * a:8 * a + 8] * (b - a):
-                text += [_fmt(col[a])] * (b - a)
-            else:  # 0.0 next to -0.0
-                text += map("%.17g".__mod__, col[a:b].tolist())
-        return text
-    period = next((i for i, same in enumerate((col[1:] == col[:1]).tolist(), 1) if same), n)
-    if period < n and n % period == 0 and raw == raw[:8 * period] * (n // period):
-        return _column_text(col[:period]) * (n // period)
-    return list(map("%.17g".__mod__, col.tolist()))
+def _factor_blocks(results, x_text):
+    """factors.csv blocks: one per (phi, component, p, q)."""
+    for phi, res, _, _ in results:
+        n = res.profile.n
+        for name, smf in (
+            ("h_minus", res.h_minus),
+            ("h_plus", res.h_plus),
+            ("lambda", res.lambda_factor),
+        ):
+            for p in range(n):
+                for q in range(n):
+                    col = smf.data[p, q]
+                    yield _fmt(phi), x_text, name, str(p + 1), str(q + 1), col.real, col.imag
 
 
-def _table_text(rows) -> str:
-    """CSV lines for a 2-D float array, every cell rendered like _fmt."""
-    line = ",".join(["%s"] * rows.shape[1]) + "\n"
-    cols = [_column_text(rows[:, j]) for j in range(rows.shape[1])]
-    return "".join(map(line.__mod__, zip(*cols)))
+def _figure_blocks(rows, x_text):
+    """remainders.csv blocks: one per (phi, p, q) of figure_data's rows, x as text."""
+    for block in rows.reshape(-1, len(x_text), rows.shape[1]):
+        cells = list(block.T)
+        cells[2] = x_text
+        yield cells
 
 
 def _json_safe(v):
@@ -309,34 +342,6 @@ def _json_safe(v):
         return None
     v = float(v)
     return v if math.isfinite(v) else None
-
-
-def _factor_text(phi, x_text, result):
-    """factors.csv lines for one phi, block by (component, p, q) block.
-
-    x_text is _column_text of the grid's nodes, formatted once per grid. A
-    constant part, as lambda's 0 and 1 entries have, is formatted once into
-    the block's line; the others cell by cell.
-    """
-    n = result.profile.n
-    for name, smf in (
-        ("h_minus", result.h_minus),
-        ("h_plus", result.h_plus),
-        ("lambda", result.lambda_factor),
-    ):
-        for p in range(n):
-            for q in range(n):
-                col = smf.data[p, q]
-                cells, columns = [], [x_text]
-                for part in (col.real, col.imag):
-                    raw = part.tobytes()
-                    if raw == raw[:8] * len(part):
-                        cells.append(_fmt(part[0]))
-                    else:
-                        cells.append("%.17g")
-                        columns.append(part.tolist())
-                line = f"{_fmt(phi)},%s,{name},{p + 1},{q + 1},{cells[0]},{cells[1]}\n"
-                yield from map(line.__mod__, zip(*columns))
 
 
 def _phi_entry(phi, result, report, diag):
@@ -439,16 +444,13 @@ def run(config: RunConfig) -> dict:
     remainders_path = os.path.join(config.output_dir, "remainders.csv")
     diagnostics_path = os.path.join(config.output_dir, "diagnostics.json")
     written = []
+    x_text = _x_text(grid)
     try:
-        def all_factor_text():
-            x_text = _column_text(grid.x_nodes)
-            for phi, res, _, _ in results:
-                yield from _factor_text(phi, x_text, res)
-
         written.append(factors_path)
-        _write_csv(factors_path, ("phi", "x", "component", "p", "q", "re", "im"), all_factor_text())
+        _write_csv(factors_path, ("phi", "x", "component", "p", "q", "re", "im"),
+                   _factor_blocks(results, x_text))
         written.append(remainders_path)
-        _write_csv(remainders_path, example2x2.FIGURE_COLUMNS, [_table_text(fig_rows)])
+        _write_csv(remainders_path, example2x2.FIGURE_COLUMNS, _figure_blocks(fig_rows, x_text))
         written.append(diagnostics_path)
         with open(diagnostics_path, "w", encoding="ascii", newline="\n") as fh:
             json.dump(diagnostics, fh, indent=2, sort_keys=True)
@@ -479,16 +481,10 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     config = parse_config(text)
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    if args.order is not None:
-        if args.order < 1:
-            raise ConfigError(f"order must be >= 1, got {args.order}")
-        config.order = args.order
-    if args.grid_points is not None:
-        if args.grid_points < 64:
-            raise ConfigError(f"grid_points must be >= 64, got {args.grid_points}")
-        config.grid_points = args.grid_points
+    given = {key: v for key, v in vars(args).items() if v is not None}
+    config.output_dir = _require_output_dir(given, config.output_dir)
+    config.order = _require_int(given, "order", config.order)
+    config.grid_points = _require_int(given, "grid_points", config.grid_points)
     summary = run(config)
     for key in ("factors", "remainders", "diagnostics"):
         print(f"wrote {summary[key]}")
@@ -510,21 +506,21 @@ def _parse_phi_args(tokens) -> list:
                 raise ConfigError(f"phi: could not parse {piece!r}") from exc
             if not value > 0:
                 raise ConfigError(f"phi values must be positive, got {value}")
-            phis.append(value)
+            phis.append(_finite_real(value, "phi"))
     if not phis:
         raise ConfigError("phi: need at least one value")
     return phis
 
 
 def _cmd_figures(args) -> int:
-    if args.grid_points < 64:
-        raise ConfigError(f"grid_points must be >= 64, got {args.grid_points}")
+    given = vars(args)
+    grid = MobiusGrid.build(_require_int(given, "grid_points", None))
+    out = _require_output_dir(given, None)
     phis = _parse_phi_args(args.phi)
-    grid = MobiusGrid.build(args.grid_points)
     header, rows = example2x2.figure_data(args.variant, phis, grid)
-    os.makedirs(args.output_dir, exist_ok=True)
-    path = os.path.join(args.output_dir, "remainders.csv")
-    _write_csv(path, header, [_table_text(rows)])
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "remainders.csv")
+    _write_csv(path, header, _figure_blocks(rows, _x_text(grid)))
     print(f"wrote {path}")
     return 0
 

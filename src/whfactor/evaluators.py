@@ -9,6 +9,7 @@ callables mapping an array of points (real or complex) to stacked matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -371,30 +372,41 @@ class ClosedForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClosedForm":
+        """Inverse of to_dict.
+
+        Coefficients are [re, im] pairs and the phase a real number, all
+        finite; a string or bool in their place, a pair of another length
+        and an unknown key are rejected.
+        """
+        def known(d, keys, what):
+            if not isinstance(d, dict):
+                raise TypeError(f"{what} must be an object, got {d!r}")
+            unknown = set(d) - keys
+            if unknown:
+                raise ValueError(f"unknown {what} key(s): {', '.join(sorted(map(str, unknown)))}")
+
         def finite(v):
-            if not np.isfinite(v):
-                raise ValueError(f"coefficients and phases must be finite, got {v}")
-            return v
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"coefficients and phases must be real numbers, got {v!r}")
+            if not np.isfinite(float(v)):
+                raise ValueError(f"coefficients and phases must be finite, got {float(v)}")
+            return float(v)
 
         def unpair(v):
-            return finite(complex(v[0], v[1]))
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise ValueError(f"coefficients must be [re, im] pairs, got {v!r}")
+            return complex(finite(v[0]), finite(v[1]))
 
-        entries = []
-        for row in data["entries"]:
-            out_row = []
-            for cell in row:
-                out_row.append(
-                    tuple(
-                        Term(
-                            tuple(unpair(v) for v in t["num"]),
-                            tuple(unpair(v) for v in t.get("den", [[1.0, 0.0]])),
-                            finite(float(t.get("phase", 0.0))),
-                        )
-                        for t in cell
-                    )
-                )
-            entries.append(out_row)
-        cf = cls(entries)
+        def term(t):
+            known(t, {"num", "den", "phase"}, "term")
+            return Term(
+                tuple(unpair(v) for v in t["num"]),
+                tuple(unpair(v) for v in t.get("den", [[1.0, 0.0]])),
+                finite(t.get("phase", 0.0)),
+            )
+
+        known(data, {"entries", "shape"}, "spec")
+        cf = cls([[tuple(map(term, cell)) for cell in row] for row in data["entries"]])
         if "shape" in data and tuple(data["shape"]) != cf.shape:
             raise ValueError("declared shape does not match entry table")
         return cf

@@ -146,6 +146,13 @@ def _first_term(data):
         (lambda c: _first_term(c).update(num=[[float("nan"), 0.05]]), "must be finite, got"),
         (lambda c: _first_term(c).update(den=[[float("nan"), 1.0], [1.0, 0.0]]), "must be finite"),
         (lambda c: _first_term(c).update(phase=float("inf")), "must be finite, got inf"),
+        # the m0_spec format: [re, im] pairs of real numbers, a real phase, known keys
+        (lambda c: _first_term(c).update(phase="1.0"), "must be real numbers, got '1.0'"),
+        (lambda c: _first_term(c).update(phase=True), "must be real numbers, got True"),
+        (lambda c: _first_term(c).update(num=[[0.0, 0.05, 7.0]]), r"must be \[re, im\] pairs"),
+        (lambda c: _first_term(c).update(num=[[True, 0.05]]), "must be real numbers, got True"),
+        (lambda c: _first_term(c).update(dem=_first_term(c).pop("den")), "unknown term key.*: dem"),
+        (lambda c: c["custom"]["m0_spec"].update(shap=[2, 2]), "unknown spec key.*: shap"),
     ],
 )
 def test_parse_custom_rejections(mutate, needle):
@@ -228,24 +235,27 @@ def _special_values(rng, size):
     return v
 
 
-def test_table_text_matches_per_cell_format():
+def test_csv_lines_match_per_cell_format():
+    # remainders.csv-shaped blocks: constant columns, x as text, special values
     rng = np.random.default_rng(3)
     x = _special_values(rng, 50)
-    x[0] = -1e300  # x repeats as a whole in each block, its first value only there
-    blocks = []
+    x[0] = -1e300
+    x_text = ["%.17g" % v for v in x.tolist()]
+    near = np.full(50, 2.0)  # constant but for one value
+    near[20] = -0.0
+    rows, blocks = [], []
     for sign in (1.0, -1.0):
-        blocks.append(np.column_stack([
-            np.full(50, 1.0), np.full(50, sign * 0.0), x, np.full(50, np.nan),
-            np.full(50, -np.inf), _special_values(rng, 50), rng.standard_normal(50),
-        ]))
-    rows = np.vstack(blocks)
-    want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
-    assert cli._table_text(rows) == want
+        cols = [np.full(50, 1.0), np.full(50, sign * 0.0), x, np.full(50, np.nan),
+                np.full(50, -np.inf), _special_values(rng, 50), rng.standard_normal(50), near]
+        rows.append(np.column_stack(cols))
+        blocks.append([*cols[:2], x_text, *cols[3:]])
+    want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.vstack(rows).tolist())
+    assert "".join(cli._csv_lines(blocks)) == want
     assert "-0," in want and ",0," in want  # -0.0 keeps its own text
-    assert cli._table_text(np.empty((0, 9))) == ""
+    assert "".join(cli._csv_lines([])) == ""
 
 
-def test_factor_text_matches_per_cell_format():
+def test_factor_blocks_match_per_cell_format():
     rng = np.random.default_rng(4)
     n, n_points = 2, 40
     x = np.sort(rng.standard_normal(n_points))
@@ -273,7 +283,8 @@ def test_factor_text_matches_per_cell_format():
                 for xv, v in zip(x.tolist(), data[p, q].tolist()):
                     want.append("%.17g,%.17g,%s,%d,%d,%.17g,%.17g\n"
                                 % (phi, xv, name, p + 1, q + 1, v.real, v.imag))
-    got = "".join(cli._factor_text(phi, cli._column_text(x), result))
+    x_text = cli._x_text(SimpleNamespace(x_nodes=x))
+    got = "".join(cli._csv_lines(cli._factor_blocks([(phi, result, None, None)], x_text)))
     assert got == "".join(want)
 
 
@@ -331,6 +342,10 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "nf").exists()
 
+    # an override is checked as the config key it replaces, before the run
+    assert main(["run", "--config", str(cfg_path), "--output-dir", ""]) == 2
+    assert "output_dir must be a nonempty string" in capsys.readouterr().err
+
 
 def test_main_order_and_grid_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
@@ -354,6 +369,22 @@ def test_main_figures_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 4 * 64
     assert main(["figures", "--variant", "2", "--phi", "-1",
                  "--output-dir", str(tmp_path / "g")]) == 2
+    capsys.readouterr()
+    for phi in ("inf", "1e999"):  # rejected before the route cross-check
+        assert main(["figures", "--variant", "2", "--phi", phi,
+                     "--output-dir", str(tmp_path / "g")]) == 2
+        assert "phi must be finite, got inf" in capsys.readouterr().err
+
+
+def test_figures_and_run_write_the_same_remainders(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_example_cfg(variant=2, phi_list=[0.5, 0.25], grid_points=64, order=1))
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "r")]) == 0
+    assert main(["figures", "--variant", "2", "--phi", "0.5", "0.25", "--grid-points", "64",
+                 "--output-dir", str(tmp_path / "f")]) == 0
+    remainders = [(tmp_path / d / "remainders.csv").read_bytes() for d in ("r", "f")]
+    assert remainders[0] == remainders[1]
+    assert remainders[0].count(b"\n") == 1 + 2 * 4 * 64
 
 
 def test_main_alphas_subcommand(capsys):

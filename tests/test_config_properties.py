@@ -1,9 +1,12 @@
-"""Property test: parse_config fails with ConfigError and nothing else.
+"""Property tests of config parsing.
 
-The documents are generated, never run: well-formed example and custom
-configs (with m0_spec trees), the same configs with one value replaced or
-removed, and their JSON text with one character cut or inserted. Numbers
-include nan, +-inf and integers beyond the float range.
+parse_config fails with ConfigError and nothing else. The documents are
+generated, never run: well-formed example and custom configs (with m0_spec
+trees), the same configs with one value replaced or removed, and their JSON
+text with one character cut or inserted. Numbers include nan, +-inf and
+integers beyond the float range.
+
+ClosedForm.from_dict(cf.to_dict()) gives back cf's terms.
 """
 
 import json
@@ -16,6 +19,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from whfactor.cli import ConfigError, parse_config  # noqa: E402
+from whfactor.evaluators import ClosedForm, Term  # noqa: E402
 
 # mostly plain numbers; one in 10 may be nan, +-inf or an integer beyond the float range
 WILD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]) | st.floats()
@@ -111,3 +115,27 @@ def test_parse_config_raises_only_config_error(text):
         parse_config(text)
     except ConfigError:
         pass
+
+
+COEFFICIENTS = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+TERM_OBJECTS = st.builds(
+    Term,
+    st.lists(COEFFICIENTS, min_size=1, max_size=3).map(tuple),
+    st.lists(COEFFICIENTS, min_size=1, max_size=3).map(tuple).filter(lambda d: any(d)),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def closed_forms(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.lists(TERM_OBJECTS, max_size=3)
+    return ClosedForm([[draw(cells) for _ in range(m)] for _ in range(n)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(closed_forms())
+def test_closed_form_dict_round_trip(cf):
+    back = ClosedForm.from_dict(json.loads(json.dumps(cf.to_dict())))
+    assert back.shape == cf.shape
+    assert back.entries == cf.entries
