@@ -345,7 +345,10 @@ class ClosedForm:
                 for t in cell:
                     if len(t.den) == 1:
                         continue
-                    roots = npoly.polyroots(t.den)
+                    # extreme but finite coefficients overflow or underflow
+                    # inside the companion-matrix solve; the verdict stands
+                    with np.errstate(all="ignore"):
+                        roots = npoly.polyroots(t.den)
                     if np.any(np.abs(roots.imag) < tol):
                         return True
         return False

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -171,6 +172,28 @@ def test_custom_rejects_real_pole():
     data["custom"]["m0_spec"] = spec
     with pytest.raises(ConfigError, match="pole on the real axis"):
         parse_config(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "den,real_pole",
+    [
+        ([[1e300, 0.0], [1e-300, 0.0]], True),  # a real pole near -1e600
+        ([[0.0, 1e300], [1e-300, 0.0]], False),
+        ([[0.0, 1.0], [1e-320, 0.0]], False),
+    ],
+)
+def test_extreme_denominators_parse_without_warnings(den, real_pole):
+    # the pole check solves for the roots of finite but extreme denominators;
+    # it keeps its verdict and lets no numpy warning out
+    data = json.loads(_custom_cfg())
+    _first_term(data)["den"] = den
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if real_pole:
+            with pytest.raises(ConfigError, match="pole on the real axis"):
+                parse_config(json.dumps(data))
+        else:
+            assert parse_config(json.dumps(data)).custom.m0.shape == (2, 2)
 
 
 def _run_example(tmp_path, subdir="out", **over):

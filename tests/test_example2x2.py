@@ -1,6 +1,7 @@
 """Worked 2x2 family: closed forms, first-step factors, figure tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,9 +185,29 @@ def test_route_cross_check_detects_a_skew_of_n_minus_alone(monkeypatch):
     _assert_skew_caught(monkeypatch, "n_minus")
 
 
+def test_route_cross_check_rejects_a_non_finite_gap(monkeypatch):
+    # one NaN in N+ makes the median NaN, which no comparison with the
+    # bound passes; the gate must fail on it and leave the phi uncached
+    phi = 0.43291
+    inst = example2x2.build_example(phi)
+    vs = example2x2.variant_constant(0, phi)
+    real_solve = rbvp.solve_step
+
+    def nan_at_one_node(m, kappas, free_block):
+        sol = real_solve(m, kappas, free_block)
+        sol.n_plus.data[0, 0, m.grid.n_points // 3] = np.nan
+        return sol
+
+    monkeypatch.setattr(rbvp, "solve_step", nan_at_one_node)
+    with pytest.raises(ValueError, match="median gap nan is not finite.*quadrature/convention fault"):
+        example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
+    assert phi not in example2x2._checked_phis
+
+
 def test_route_cross_check_samples_only_the_split(monkeypatch):
-    # per phi, the check samples M0+ and M0- on its grid and nothing else;
-    # the solver is called with (m, kappas, free_block) alone
+    # per phi, the check samples the split once on its grid, as one stacked
+    # closed form with M0+'s rows over M0-'s, and nothing else; the solver
+    # is called with (m, kappas, free_block) alone
     phi = 0.28613
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(2, phi)
@@ -209,8 +230,40 @@ def test_route_cross_check_samples_only_the_split(monkeypatch):
     assert phi not in example2x2._checked_phis
     example2x2.first_step_factors(inst, vs, MobiusGrid.build(64))
     example2x2._checked_phis.discard(phi)
-    assert on_check_grid == [inst.M0_plus, inst.M0_minus]
+    assert len(on_check_grid) == 1
+    assert on_check_grid[0].entries == inst.M0_plus.entries + inst.M0_minus.entries
     assert solver_calls == [(3, {})]
+
+
+def test_route_cross_check_stacked_halves_are_the_separate_samplings():
+    # the stacked pass gives each half of the split the bits of its own
+    # sampling, so the check solves the sum the parts make
+    inst = example2x2.build_example(0.61)
+    x = MobiusGrid.build(4096).x_nodes
+    both = ClosedForm(inst.M0_plus.entries + inst.M0_minus.entries)(x)
+    np.testing.assert_array_equal(both[:, :2], inst.M0_plus(x))
+    np.testing.assert_array_equal(both[:, 2:], inst.M0_minus(x))
+
+
+def test_route_gap_median_footprint():
+    # one check at the gate's grid holds four full (2, 2, N) arrays: the
+    # stacked split, whose lower half becomes M0, and the solver's N+ and
+    # N-. The exact route is formed block by block; the solver's own
+    # temporaries come on top. Twiddles and the grid are built beforehand.
+    phi = 0.3
+    inst = example2x2.build_example(phi)
+    vs = example2x2.variant_constant(1, phi)
+    e_full = vs.c0 - inst.psi * example2x2.B_MATRICES[0]
+    g = MobiusGrid.build(example2x2._CHECK_GRID_N)
+    example2x2._route_gap_median(inst, e_full, vs.c0, g)  # fills the twiddle cache
+    tracemalloc.start()
+    try:
+        example2x2._route_gap_median(inst, e_full, vs.c0, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = 2 * 2 * g.n_points * np.dtype(complex).itemsize
+    assert peak < 4.75 * full, f"peak {peak / full:.2f} full arrays"
 
 
 def test_route_cross_check_passes_known_kappas(monkeypatch):
