@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import MobiusGrid, SampledMatrixFunction, node_sum, sample as _sample
+from .grid import MobiusGrid, SampledMatrixFunction, as_integer, node_sum, sample as _sample
 
 
 class AccuracyError(RuntimeError):
@@ -231,7 +231,7 @@ def resample(m: SampledMatrixFunction, factor: int) -> SampledMatrixFunction:
     trigonometric interpolation by zero-padding the circle modes (midpoint
     phase twists applied on both grids).
     """
-    factor = int(factor)
+    factor = as_integer(factor, "factor")
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:

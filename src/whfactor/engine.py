@@ -32,14 +32,17 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import cauchy
-from .evaluators import ClosedForm
+from .evaluators import _BLOCK, ClosedForm
 from .grid import (
     MobiusGrid,
     SampledMatrixFunction,
+    _matmul_node_last,
+    as_integer,
     hoelder_norm,
     matrix_norm,
     node_det,
     node_matmul,
+    node_values,
     sample,
     sup_norm,
 )
@@ -296,18 +299,34 @@ class FactorizationResult:
         """Sup of h- Lambda0 h+ - (Lambda0 + M0), optionally on a finer grid.
 
         Factor series and remainder are band-limited grid objects, so their
-        refined samples are their exact trigonometric continuations; the
-        diagonal is rebuilt from its closed form.
+        refined samples are their exact trigonometric continuations: an
+        operand without a closed form is resampled onto the one fine grid,
+        and one with a closed form (the diagonal, a sampled M0) is
+        evaluated there. The residual and its sup are formed one block of
+        evaluators._BLOCK nodes at a time, the closed forms evaluated on
+        each block's nodes. These are the evaluator's own blocks, so every
+        value has the bits of the whole-array formula, and no full-size
+        product or sum is held.
         """
-        refine = int(refine)
+        refine = as_integer(refine, "refine")
         if refine < 1:
             raise ValueError("refine must be >= 1")
-        hm, hp, l0, m0 = self.h_minus, self.h_plus, self.lambda0, self.m0
-        if refine > 1:  # one refined grid for all four
-            fine = MobiusGrid.build(self.grid.n_points * refine)
-            hm, hp, l0, m0 = (cauchy._resample_to(f, fine) for f in (hm, hp, l0, m0))
-        diff = (hm @ l0 @ hp) - (l0 + m0)
-        return sup_norm(diff)
+        operands = (self.h_minus, self.h_plus, self.lambda0, self.m0)
+        if refine == 1:
+            grid, sources = self.grid, [f.data for f in operands]
+        else:  # one refined grid for all four
+            grid = MobiusGrid.build(self.grid.n_points * refine)
+            sources = [cauchy._resample_to(f, grid).data if f.closed_form is None else f.closed_form
+                       for f in operands]
+        sups = []
+        for k in range(0, grid.n_points, _BLOCK):
+            nodes = slice(k, k + _BLOCK)
+            hm, hp, l0, m0 = (src[..., nodes] if isinstance(src, np.ndarray)
+                              else node_values(src, grid, nodes) for src in sources)
+            diff = _matmul_node_last(_matmul_node_last(hm, l0), hp)
+            diff -= l0 + m0
+            sups.append(matrix_norm(np.moveaxis(diff, -1, 0)).max())
+        return float(np.max(sups))  # np.max keeps a NaN, which max() would drop
 
 
 def run_factorization(
@@ -328,9 +347,10 @@ def run_factorization(
     """
     if not isinstance(profile, PartialIndexProfile):
         profile = split_indices(profile)
-    order = int(order)
+    order = as_integer(order, "order")
     if order < 1:
         raise ValueError("order must be >= 1")
+    refine_check = as_integer(refine_check, "refine_check")
     strat = _as_strategy(strategy)
     grid = m0.grid
     n, k = profile.n, profile.k
@@ -390,7 +410,12 @@ def run_factorization(
         hp_samples += step.n_plus.data
     h_minus = SampledMatrixFunction.node_last(grid, hm_samples)
     h_plus = SampledMatrixFunction.node_last(grid, hp_samples)
-    lambda_factor = sample(ClosedForm.mobius_power_diag(profile.indices), grid)
+    # with shift s = 0 the factor's diagonal is Lambda0 itself: one set of samples
+    lambda_form = ClosedForm.mobius_power_diag(profile.indices)
+    lambda_factor = lambda0
+    if not (lambda0.grid is grid and isinstance(lambda0.closed_form, ClosedForm)
+            and lambda0.closed_form.entries == lambda_form.entries):
+        lambda_factor = sample(lambda_form, grid)
 
     result = FactorizationResult(
         grid=grid,

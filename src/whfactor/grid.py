@@ -16,6 +16,14 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def as_integer(v, name: str) -> int:
+    """int(v) for a whole number v; any other v, such as 2.7, is refused rather than truncated."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return i
+
+
 def mobius_forward(x):
     """(x-i)/(x+i), real line to unit circle. Preserves extended precision."""
     x = np.asanyarray(x)
@@ -37,7 +45,7 @@ class MobiusGrid:
 
     @classmethod
     def build(cls, n_points: int = 2048) -> "MobiusGrid":
-        n = int(n_points)
+        n = as_integer(n_points, "n_points")
         if n < 4:
             raise ValueError("n_points must be at least 4")
         theta = (2 * np.arange(n) + 1) * np.pi / n
@@ -137,18 +145,29 @@ class SampledMatrixFunction:
     __rmul__ = __mul__
 
 
-def sample(closed_form: Callable, grid: MobiusGrid) -> SampledMatrixFunction:
-    """Evaluate a closed form on the grid nodes, keeping the evaluator."""
+def node_values(closed_form: Callable, grid: MobiusGrid, nodes: slice = slice(None)) -> np.ndarray:
+    """A closed form at the nodes x_nodes[nodes], as a C-contiguous (n, n, len) array.
+
+    A ValueError names the first of those nodes where a value is not finite.
+    """
+    x = grid.x_nodes[nodes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(closed_form(grid.x_nodes), dtype=complex)
-    if vals.ndim != 3 or vals.shape[0] != grid.n_points:
+        vals = np.asarray(closed_form(x), dtype=complex)
+    if vals.ndim != 3 or vals.shape[0] != len(x):
         raise ValueError("evaluator must return (N, n, n) matrices on the node set")
-    f = SampledMatrixFunction(grid, vals, closed_form)
-    finite = np.isfinite(f.data)
+    if vals.shape[1] != vals.shape[2]:
+        raise ValueError("matrix samples must be square")
+    data = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    finite = np.isfinite(data)
     if not finite.all():
         j = int(np.argmin(finite.all(axis=(0, 1))))
-        raise ValueError(f"evaluator returned a non-finite value at node x = {grid.x_nodes[j]!r}")
-    return f
+        raise ValueError(f"evaluator returned a non-finite value at node x = {x[j]!r}")
+    return data
+
+
+def sample(closed_form: Callable, grid: MobiusGrid) -> SampledMatrixFunction:
+    """Evaluate a closed form on the grid nodes, keeping the evaluator."""
+    return SampledMatrixFunction.node_last(grid, node_values(closed_form, grid), closed_form)
 
 
 # ---------------------------------------------------------------------------

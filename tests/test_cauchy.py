@@ -126,6 +126,12 @@ def test_resample_factor_one_is_identity():
     m = SampledMatrixFunction(g, np.random.default_rng(0).standard_normal((32, 1, 1)) + 0j)
     same = cauchy.resample(m, 1)
     assert np.allclose(same.samples, m.samples)
+    # a fractional factor is refused, not truncated
+    assert cauchy.resample(m, 2.0).grid.n_points == 64
+    with pytest.raises(ValueError, match=r"factor must be an integer, got 2\.5"):
+        cauchy.resample(m, 2.5)
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        cauchy.resample(m, 0)
 
 
 def test_jump_solution_continuation():

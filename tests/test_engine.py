@@ -1,5 +1,7 @@
 """Factorization engine: recurrence, strategies, diagnostics, factor conditions."""
 
+import re
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -300,6 +302,14 @@ def test_refined_residual_regimes():
     assert res_s.residual_sup_at(2) >= res_s.residual_sup_at(1)
     with pytest.raises(ValueError):
         res.residual_sup_at(0)
+    # a fractional count is refused, not truncated; a whole float is taken
+    with pytest.raises(ValueError, match=r"refine must be an integer, got 2\.9"):
+        res.residual_sup_at(2.9)
+    assert res.residual_sup_at(2.0) == r2
+    with pytest.raises(ValueError, match=r"order must be an integer, got 2\.7"):
+        _example_run(phi=0.3, n_points=256, order=2.7)
+    with pytest.raises(ValueError, match=r"refine_check must be an integer, got 1\.9"):
+        _example_run(phi=0.3, n_points=256, order=2, refine_check=1.9)
 
 
 def test_refined_residual_builds_one_grid(monkeypatch):
@@ -314,6 +324,78 @@ def test_refined_residual_builds_one_grid(monkeypatch):
                         classmethod(lambda cls, n: builds.append(n) or build(cls, n)))
     assert res.residual_sup_at(3) == want
     assert builds == [768]
+
+
+def _whole_array_residual(res, refine):
+    """The residual formula with every operand held on the whole (fine) grid."""
+    hm, hp, l0, m0 = res.h_minus, res.h_plus, res.lambda0, res.m0
+    if refine > 1:
+        fine = MobiusGrid.build(res.grid.n_points * refine)
+        hm, hp, l0, m0 = (cauchy._resample_to(f, fine) for f in (hm, hp, l0, m0))
+    return sup_norm((hm @ l0 @ hp) - (l0 + m0))
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3])
+def test_blocked_residual_is_the_whole_array_formula(refine):
+    # 10000 nodes: every grid, coarse or fine, ends in a partial block
+    _, res = _example_run(phi=0.07, n_points=10000, order=3)
+    assert res.residual_sup_at(refine) == _whole_array_residual(res, refine)
+    # the same samples without a closed form take the resample path
+    res.m0 = SampledMatrixFunction.node_last(res.grid, res.m0.data.copy())
+    assert res.residual_sup_at(refine) == _whole_array_residual(res, refine)
+
+
+def test_blocked_residual_keeps_a_nan():
+    _, res = _example_run(phi=0.1, n_points=10000, order=2)
+    res.h_plus.data[0, 1, 9000] = np.nan  # in the second block
+    assert np.isnan(res.residual_sup_at(1))
+    assert np.isnan(res.residual_sup_at(2))
+
+
+def test_blocked_residual_raises_at_the_first_non_finite_fine_node():
+    # a closed form with poles on two fine nodes in the third block: the
+    # error is sample's, naming the first of them
+    g, res = _example_run(phi=0.1, n_points=10000, order=2)
+    fine = MobiusGrid.build(20000)
+    x1, x2 = fine.x_nodes[17000], fine.x_nodes[19000]
+    poles = ClosedForm([[(Term((1e-3,), (-x1, 1.0)), Term((1e-3,), (-x2, 1.0))), ()],
+                        [(), ()]])
+    poled = example2x2.build_example(0.1).M0 + poles
+    with pytest.raises(ValueError) as whole:
+        sample(poled, fine)
+    assert repr(x1) in str(whole.value)
+    res.m0 = SampledMatrixFunction.node_last(g, res.m0.data, poled)
+    assert res.residual_sup_at(1) == res.residual_sup  # the nodes miss the poles
+    with pytest.raises(ValueError, match=re.escape(str(whole.value))):
+        res.residual_sup_at(2)
+
+
+def test_refined_residual_footprint():
+    # the fine grid holds h- and h+ resampled; the residual and its sup are
+    # formed in blocks, and the closed forms evaluated on each block
+    g, res = _example_run(phi=0.05, n_points=65536, order=1)
+    res.residual_sup_at(2)  # fills the twiddle caches
+    tracemalloc.start()
+    try:
+        res.residual_sup_at(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fine = 2 * 2 * 2 * g.n_points * np.dtype(complex).itemsize
+    assert peak < 4 * fine, f"peak {peak / fine:.2f} fine arrays"
+
+
+def test_lambda_factor_shares_lambda0_without_shift():
+    g, res = _example_run(phi=0.1, n_points=256, order=1)
+    assert res.lambda_factor is res.lambda0
+    # with s = 1 the factor's diagonal is diag(w^2, w), Lambda0 diag(w, 1)
+    prof = rbvp.split_indices((2, 1))
+    lam0 = engine.build_lambda0(prof, g)
+    m0 = rbvp.shift_density(sample(example2x2.build_example(0.1).M0, g), prof.s)
+    shifted = engine.run_factorization(lam0, m0, prof, 1)
+    assert shifted.lambda_factor is not shifted.lambda0
+    want = sample(ClosedForm.mobius_power_diag((2, 1)), g)
+    assert np.array_equal(shifted.lambda_factor.data, want.data)
 
 
 def test_one_forward_fft_per_step(monkeypatch):

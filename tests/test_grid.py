@@ -28,6 +28,12 @@ def test_nodes_are_midpoints_on_circle():
     assert np.allclose(np.abs(g.w_nodes), 1.0, atol=1e-15)
     # w = 1 (the image of infinity) is never a node
     assert np.abs(g.w_nodes - 1.0).min() > 1e-3
+    # a fractional size is refused, not truncated; a whole float is taken
+    assert MobiusGrid.build(256.0).n_points == 256
+    with pytest.raises(ValueError, match=r"n_points must be an integer, got 256\.9"):
+        MobiusGrid.build(256.9)
+    with pytest.raises(ValueError, match="at least 4"):
+        MobiusGrid.build(3)
 
 
 def test_x_nodes_monotone_and_paired():
