@@ -120,20 +120,37 @@ def _as_strategy(strategy):
 # remainder recurrence
 
 
-def next_remainder(steps: Sequence[Step]) -> SampledMatrixFunction:
-    """M_r = -sum_{j=1..r} N_j- N_{r+1-j}+ node-wise, r = len(steps).
+def _series(n: int, terms, nodes: tuple = ()) -> np.ndarray:
+    """I plus each term, added in step order: (n, n), or node-last (n, n, N) for nodes = (N,)."""
+    total = np.zeros((n, n) + nodes, dtype=complex)
+    total[np.arange(n), np.arange(n)] = 1.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _convolve(minus: Sequence[np.ndarray], plus: Sequence[np.ndarray]) -> np.ndarray:
+    """-sum_{j=1..r} minus_j plus_{r+1-j} over node-last (n, n, N) arrays, r = len(minus).
 
     The products are added in place into the first one, in order of j, and
     the sum is negated in place: the adds of the plain sum, so its bits.
+    """
+    pairs = zip(minus, reversed(plus))
+    acc = _matmul_node_last(*next(pairs))
+    for a, b in pairs:
+        acc += _matmul_node_last(a, b)
+    return np.negative(acc, out=acc)
+
+
+def next_remainder(steps: Sequence[Step]) -> SampledMatrixFunction:
+    """M_r = -sum_{j=1..r} N_j- N_{r+1-j}+ node-wise, r = len(steps).
+
     Solver terms carry no closed form, and the result carries none.
     """
-    r = len(steps)
-    if r < 1:
+    if not steps:
         raise ValueError("need at least one solved step")
-    acc = (steps[0].n_minus @ steps[r - 1].n_plus).data
-    for j in range(2, r + 1):
-        acc += (steps[j - 1].n_minus @ steps[r - j].n_plus).data
-    return SampledMatrixFunction.node_last(steps[0].n_plus.grid, np.negative(acc, out=acc))
+    acc = _convolve([s.n_minus.data for s in steps], [s.n_plus.data for s in steps])
+    return SampledMatrixFunction.node_last(steps[0].n_plus.grid, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +274,24 @@ class FactorizationResult:
     m0: SampledMatrixFunction
 
     def h_plus_infinity(self) -> np.ndarray:
-        n = self.profile.n
-        total = np.eye(n, dtype=complex)
-        for step in self.steps:
-            total = total + step.plus_at_infinity()
-        return total
+        return _series(self.profile.n, (step.plus_at_infinity() for step in self.steps))
 
     def h_minus_infinity(self) -> np.ndarray:
-        n = self.profile.n
-        total = np.eye(n, dtype=complex)
-        for step in self.steps:
-            total = total + step.minus_at_infinity()
-        return total
+        return _series(self.profile.n, (step.minus_at_infinity() for step in self.steps))
 
     def h_minus_at_minus_i(self) -> np.ndarray:
         """Exact value: the w^(-1) column factors vanish at z = -i."""
-        n, k = self.profile.n, self.profile.k
-        scale = np.ones(n)
-        scale[:k] = 0.0
-        total = np.eye(n, dtype=complex)
-        for step in self.steps:
-            total = total + (step.c0 + step.constant) * scale[None, :]
-        return total
+        scale = 1.0 - self.profile.shifted_kappas()  # 0 on the k columns with exponent 1
+        return _series(self.profile.n, ((step.c0 + step.constant) * scale for step in self.steps))
 
     def evaluate_h_plus(self, z: complex) -> np.ndarray:
         z = _in_half_plane(z, upper=True)
-        total = np.eye(self.profile.n, dtype=complex)
-        for step in self.steps:
-            total = total + step.evaluate_plus(z)
-        return total
+        return _series(self.profile.n, (step.evaluate_plus(z) for step in self.steps))
 
     def evaluate_h_minus(self, z: complex) -> np.ndarray:
         z = _in_half_plane(z, upper=False)
         colfac = ((z + 1j) / (z - 1j)) ** self.profile.shifted_kappas()
-        total = np.eye(self.profile.n, dtype=complex)
-        for step in self.steps:
-            total = total + step.evaluate_minus(z) * colfac[None, :]
-        return total
+        return _series(self.profile.n, (step.evaluate_minus(z) * colfac for step in self.steps))
 
     def residual_sup_at(self, refine: int = 1) -> float:
         """Sup of h- Lambda0 h+ - (Lambda0 + M0), optionally on a finer grid.
@@ -395,19 +393,15 @@ def run_factorization(
         steps.append(step)
         if r < order:
             current = next_remainder(steps)
-            # limits obey the same convolution as the remainders
-            limit = np.zeros((n, n), dtype=complex)
-            for j in range(1, r + 1):
-                limit = limit + node_matmul(steps[j - 1].minus_at_infinity(), steps[r - j].c_total)
+            # limits obey the same convolution as the remainders, at x = infinity
+            limit = _convolve([s.minus_at_infinity()[..., None] for s in steps],
+                              [s.plus_at_infinity()[..., None] for s in steps])[..., 0]
 
-    # node-last sums, (n, n, N): column q of each N_r- scales by conj(w)^kappa_q
+    # column q of each N_r- scales by conj(w)^kappa_q
     colfac = np.conj(grid.w_nodes) ** kappas[:, None]
-    hm_samples = np.zeros((n, n, grid.n_points), dtype=complex)
-    hm_samples[np.arange(n), np.arange(n)] = 1.0
-    hp_samples = hm_samples.copy()
-    for step in steps:
-        hm_samples += step.n_minus.data * colfac
-        hp_samples += step.n_plus.data
+    nodes = (grid.n_points,)
+    hm_samples = _series(n, (step.n_minus.data * colfac for step in steps), nodes)
+    hp_samples = _series(n, (step.n_plus.data for step in steps), nodes)
     h_minus = SampledMatrixFunction.node_last(grid, hm_samples)
     h_plus = SampledMatrixFunction.node_last(grid, hp_samples)
     # with shift s = 0 the factor's diagonal is Lambda0 itself: one set of samples

@@ -161,6 +161,12 @@ def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
                     np.add(acc, v, out=slot if r == last else acc)
 
 
+def _mobius_term(k: int) -> Term:
+    """((x-i)/(x+i))**k as one term; a negative power swaps the two factors."""
+    num, den = ((-1j, 1.0), (1j, 1.0)) if k >= 0 else ((1j, 1.0), (-1j, 1.0))
+    return Term(tuple(npoly.polypow(num, abs(k))), tuple(npoly.polypow(den, abs(k))))
+
+
 class ClosedForm:
     """Matrix of term sums, evaluable at arbitrary points.
 
@@ -208,15 +214,8 @@ class ClosedForm:
         kappas = [int(k) for k in kappas]
         n = len(kappas)
         table = [[() for _ in range(n)] for _ in range(n)]
-        minus = (-1j, 1.0)  # x - i
-        plus = (1j, 1.0)  # x + i
         for j, k in enumerate(kappas):
-            if k == 0:
-                table[j][j] = (Term((1,)),)
-            elif k > 0:
-                table[j][j] = (Term(tuple(npoly.polypow(minus, k)), tuple(npoly.polypow(plus, k))),)
-            else:
-                table[j][j] = (Term(tuple(npoly.polypow(plus, -k)), tuple(npoly.polypow(minus, -k))),)
+            table[j][j] = (_mobius_term(k),)
         return cls(table)
 
     # -- evaluation ------------------------------------------------------------
@@ -309,12 +308,7 @@ class ClosedForm:
         power = int(power)
         if power == 0:
             return self
-        minus = (-1j, 1.0)
-        plus = (1j, 1.0)
-        if power > 0:
-            fac = Term(tuple(npoly.polypow(minus, power)), tuple(npoly.polypow(plus, power)))
-        else:
-            fac = Term(tuple(npoly.polypow(plus, -power)), tuple(npoly.polypow(minus, -power)))
+        fac = _mobius_term(power)
         return ClosedForm([[tuple(t.times(fac) for t in cell) for cell in row] for row in self.entries])
 
     # -- analysis --------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -273,8 +273,7 @@ def first_remainder(variant_id: int, phi: float, grid: MobiusGrid,
     return -(sol.n_minus @ sol.n_plus)
 
 
-def figure_data(variant: Union[int, VariantSpec], phis, grid: MobiusGrid,
-                cross_check: bool = True):
+def figure_data(variant: int, phis, grid: MobiusGrid, cross_check: bool = True):
     """Normalized first-remainder table.
 
     Returns (FIGURE_COLUMNS, rows) where each row is
@@ -282,7 +281,7 @@ def figure_data(variant: Union[int, VariantSpec], phis, grid: MobiusGrid,
     x*|m_pq|/phi^2) with 1-based p, q; rows ordered by phi, then (p, q),
     then node.
     """
-    vid = variant.id if isinstance(variant, VariantSpec) else int(variant)
+    vid = int(variant)
     phis = [float(p) for p in phis]
     if not phis:
         raise ValueError("phis must be nonempty")

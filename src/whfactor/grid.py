@@ -17,9 +17,12 @@ import numpy as np
 
 
 def as_integer(v, name: str) -> int:
-    """int(v) for a whole number v; any other v, such as 2.7, is refused rather than truncated."""
-    i = int(v)
-    if i != v:
+    """int(v) for a whole number v; any other v, such as 2.7, inf or nan, raises a ValueError."""
+    try:
+        i = int(v)
+    except (OverflowError, ValueError):  # int(inf), int(nan)
+        i = None
+    if i is None or i != v:
         raise ValueError(f"{name} must be an integer, got {v!r}")
     return i
 

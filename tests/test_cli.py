@@ -410,6 +410,26 @@ def test_figures_and_run_write_the_same_remainders(tmp_path):
     assert remainders[0].count(b"\n") == 1 + 2 * 4 * 64
 
 
+def _readme_config(marker):
+    """The JSON config after `marker` in README.md, cut out as the CI step does."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    _, _, tail = readme.partition(marker)
+    return tail.split("```json", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("marker", ["Config for the built-in example family:",
+                                    "Config for a custom problem:"], ids=["example", "custom"])
+def test_readme_configs_run(tmp_path, marker):
+    cfg = parse_config(_readme_config(marker))
+    cfg.grid_points = 128
+    cfg.output_dir = str(tmp_path / "out")
+    summary = run(cfg)
+    assert all(0 < r < 1 for r in summary["residual_sup"])
+    for name in ("factors.csv", "remainders.csv", "diagnostics.json"):
+        assert (tmp_path / "out" / name).stat().st_size > 0
+
+
 def test_main_alphas_subcommand(capsys):
     assert main(["alphas", "--max", "4"]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,8 @@ import pytest
 
 from whfactor import cauchy, engine, example2x2, rbvp
 from whfactor.evaluators import ClosedForm, Term
-from whfactor.grid import MobiusGrid, SampledMatrixFunction, hoelder_norm, sample, sup_norm
+from whfactor.grid import (MobiusGrid, SampledMatrixFunction, hoelder_norm, node_matmul, sample,
+                           sup_norm)
 
 PROFILE = rbvp.split_indices((1, 0))
 
@@ -182,14 +183,65 @@ def test_infinity_values_consistent_with_far_evaluation():
     assert np.abs(res.evaluate_h_minus(-1j) - res.h_minus_at_minus_i()).max() < 1e-10
 
 
-@pytest.mark.parametrize("strategy", ["canonical-zero", "minimize-remainder-infinity"])
+def _custom3_run(order=5, n_points=256):
+    """A shifted 3x3 run, indices (2, 2, 1): M0 entries a e^(i w x) / (x + i b), alternating poles."""
+    prof = rbvp.split_indices((2, 2, 1))
+    g = MobiusGrid.build(n_points)
+    rows = []
+    for p in range(3):
+        row = []
+        for q in range(3):
+            k = 3 * p + q
+            b = (0.8 + 0.15 * k) * (1 if k % 2 == 0 else -1)
+            amp = (0.03 if p == q else 0.018) * np.exp(2j * np.pi * k / 9)
+            row.append((Term((amp,), (1j * b, 1.0), -1.0 + 0.25 * k),))
+        rows.append(row)
+    m0 = rbvp.shift_density(sample(ClosedForm(rows), g), prof.s)
+    return engine.run_factorization(engine.build_lambda0(prof, g), m0, prof, order,
+                                    strategy="minimize-remainder-infinity")
+
+
+def _fold(start, terms):
+    """start plus each term, one step at a time: the factor series written out."""
+    total = start
+    for term in terms:
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("strategy", ["canonical-zero", "minimize-remainder-infinity", "custom3-shifted"])
 def test_h_minus_infinity_sums_the_step_limits(strategy):
-    # N-(inf) has one definition: h-(inf) is I plus each step's minus_at_infinity()
-    _, res = _example_run(phi=0.2, n_points=512, order=4, strategy=strategy)
-    want = np.eye(2, dtype=complex)
-    for step in res.steps:
-        want = want + step.minus_at_infinity()
-    assert res.h_minus_infinity().tobytes() == want.tobytes()
+    # every value of h- and h+ is I plus the step terms, added in step order,
+    # bit for bit; each propagated limit is -sum_j N_j-(inf) N_{r+1-j}+(inf)
+    if strategy == "custom3-shifted":
+        res = _custom3_run(order=5)
+    else:
+        _, res = _example_run(phi=0.2, n_points=512, order=4, strategy=strategy)
+    steps, n, kappas = res.steps, res.profile.n, res.profile.shifted_kappas()
+    assert len(steps) == res.order
+    eye = np.eye(n, dtype=complex)
+
+    def same(got, terms, start=eye):
+        assert got.tobytes() == _fold(start, terms).tobytes()
+
+    same(res.h_plus_infinity(), [s.plus_at_infinity() for s in steps])
+    same(res.h_minus_infinity(), [s.minus_at_infinity() for s in steps])
+    scale = np.ones(n)
+    scale[:res.profile.k] = 0.0
+    same(res.h_minus_at_minus_i(), [(s.c0 + s.constant) * scale[None, :] for s in steps])
+    zp, zm = 0.7 + 1.3j, 0.7 - 1.3j
+    same(res.evaluate_h_plus(zp), [s.evaluate_plus(zp) for s in steps])
+    colfac = ((zm + 1j) / (zm - 1j)) ** kappas
+    same(res.evaluate_h_minus(zm), [s.evaluate_minus(zm) * colfac[None, :] for s in steps])
+    colw = np.conj(res.grid.w_nodes) ** kappas[:, None]
+    same(res.h_minus.data, [s.n_minus.data * colw for s in steps], eye[..., None])
+    same(res.h_plus.data, [s.n_plus.data for s in steps], eye[..., None])
+    for r in range(2, len(steps) + 1):
+        want = np.zeros((n, n), dtype=complex)
+        for j in range(1, r):
+            want = want + node_matmul(steps[j - 1].minus_at_infinity(), steps[r - j - 1].c_total)
+        assert np.array_equal(steps[r - 1].limit, want)
+    assert np.abs(steps[-1].limit).max() > 0
 
 
 def test_h_plus_at_the_normalization_point():
@@ -310,6 +362,12 @@ def test_refined_residual_regimes():
         _example_run(phi=0.3, n_points=256, order=2.7)
     with pytest.raises(ValueError, match=r"refine_check must be an integer, got 1\.9"):
         _example_run(phi=0.3, n_points=256, order=2, refine_check=1.9)
+    # so are inf and nan, with the same message
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"order must be an integer, got {bad}"):
+            _example_run(phi=0.3, n_points=256, order=bad)
+        with pytest.raises(ValueError, match=rf"refine must be an integer, got {bad}"):
+            res.residual_sup_at(bad)
 
 
 def test_refined_residual_builds_one_grid(monkeypatch):

@@ -34,6 +34,9 @@ def test_nodes_are_midpoints_on_circle():
         MobiusGrid.build(256.9)
     with pytest.raises(ValueError, match="at least 4"):
         MobiusGrid.build(3)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"n_points must be an integer, got {bad}"):
+            MobiusGrid.build(bad)
 
 
 def test_x_nodes_monotone_and_paired():
