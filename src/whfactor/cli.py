@@ -20,7 +20,9 @@ column constant within a block once per block, the grid's x once per grid).
 One problem path: the example gives a closed-form M0 per phi, a custom
 problem one at the placeholder phi = 0.0. Each is sampled, shifted, factored
 and diagnosed: Hoelder norm on min(N, 2048) nodes, C_mu bound on
-min(N, 1024). The example adds its first-remainder table.
+min(N, 1024). The example adds its first-remainder table. A custom problem's
+declared total index is checked first, against the winding of
+det(Lambda + M0) on the run grid, when the grid resolves it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .engine import (
     run_factorization,
 )
 from .evaluators import ClosedForm
-from .grid import MobiusGrid, sample
+from .grid import MobiusGrid, node_det, sample, winding
 
 
 class ConfigError(ValueError):
@@ -372,6 +374,23 @@ def _phi_entry(phi, result, report, diag):
     return entry
 
 
+def _check_total_index(lambda0, m0, profile) -> None:
+    """Raise ConfigError when the winding of det(Lambda0 + M0) contradicts the declared total index.
+
+    In the shifted frame det(Lambda0 + M0) winds profile.k times around 0
+    when the indices are right. A count on a grid whose largest phase step
+    is pi/2 or more is not resolved, and is left unjudged.
+    """
+    turns, largest = winding(node_det((lambda0 + m0).samples))
+    if largest < math.pi / 2 and round(turns) != profile.k:
+        shift = profile.n * profile.s  # the winding the w^(-s) shift took out
+        raise ConfigError(
+            f"indices {list(profile.indices)} declare total index {profile.k + shift}, "
+            f"but det(Lambda + M0) winds {round(turns) + shift} times around 0 "
+            f"on {m0.grid.n_points} nodes (largest phase step {largest:.3g} rad)"
+        )
+
+
 def run(config: RunConfig) -> dict:
     """Execute one configured run; returns a summary with the written paths.
 
@@ -401,6 +420,8 @@ def run(config: RunConfig) -> dict:
     results = []
     for phi, m0_form in problems:
         m0 = rbvp.shift_density(sample(m0_form, grid), profile.s)
+        if config.problem == "custom":
+            _check_total_index(lambda0, m0, profile)
         res = run_factorization(
             lambda0, m0, profile, config.order, strategy=strategy, refine_check=config.refine_check
         )

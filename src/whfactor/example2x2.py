@@ -142,35 +142,33 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
                       c0: np.ndarray, g: MobiusGrid) -> float:
     """Median over the nodes of g of the largest entry-wise gap between routes.
 
-    M0+ and M0- are sampled in one pass of the stacked 4x2 closed form (M0+'s
-    rows over M0-'s), into one node-last (4, 2, N) array whose halves are
-    the two separate samplings bit for bit. The upper half is added into the
-    lower one, which is then M0. The quadrature route solves the step for M0
-    with the known exponents (1, 0) of Lambda0. The exact route, N1+ =
-    diag(conj w, 1)(M0+ - C0) and N1- = (M0 - M0+) + C0, and its eight
-    entry gaps to the solver's factors are formed one block of nodes at a
-    time, so the check holds four full (2, 2, N) arrays: the stacked
-    samples and the solver's two factors.
+    M0 is sampled once on the whole grid, node-last, and the quadrature
+    route solves the step for it with the known exponents (1, 0) of
+    Lambda0. The exact route works one block of nodes at a time: M0+ is
+    sampled on the block's nodes only, and from it and M0 come
+    N1+ = diag(conj w, 1)(M0+ - C0), N1- = (M0 - M0+) + C0 and their eight
+    entry gaps to the solver's factors. The check so holds three full
+    (2, 2, N) arrays: M0 and the solver's two factors.
     """
-    n = g.n_points
-    split = ClosedForm(instance.M0_plus.entries + instance.M0_minus.entries)
-    both = np.moveaxis(split(g.x_nodes), 0, -1)
-    m0_plus, m0 = both[:2], both[2:]
-    m0 += m0_plus
+    x = g.x_nodes
+    m0 = np.moveaxis(instance.M0(x), 0, -1)
     step = rbvp.solve_step(SampledMatrixFunction.node_last(g, m0, instance.M0),
                            _KAPPAS, e_full[1:, :])
     n_plus, n_minus = step.n_plus.data, step.n_minus.data
     c = c0[..., None]
-    gap = np.empty(n)
-    for k in range(0, n, _BLOCK):
+    gap = np.empty(g.n_points)
+    for k in range(0, g.n_points, _BLOCK):
         s = slice(k, k + _BLOCK)
-        plus = m0_plus[..., s]
-        exact_plus = plus - c
-        exact_plus[0] *= np.conj(g.w_nodes[s])
-        exact_minus = m0[..., s] - plus
-        exact_minus += c
-        gaps = np.concatenate((n_plus[..., s] - exact_plus, n_minus[..., s] - exact_minus))
-        np.abs(gaps).max(axis=(0, 1), out=gap[s])  # largest of the eight entries
+        plus = np.moveaxis(instance.M0_plus(x[s]), 0, -1)  # M0+ on the block
+        minus = m0[..., s] - plus
+        minus += c  # the exact N1-
+        plus -= c
+        plus[0] *= np.conj(g.w_nodes[s])  # the exact N1+
+        np.subtract(n_plus[..., s], plus, out=plus)
+        np.subtract(n_minus[..., s], minus, out=minus)
+        # largest of the eight entry gaps; a NaN at a node carries through
+        np.abs(plus).max(axis=(0, 1), out=gap[s])
+        np.maximum(gap[s], np.abs(minus).max(axis=(0, 1)), out=gap[s])
     return float(np.median(gap, overwrite_input=True))
 
 
@@ -185,11 +183,10 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     the median node-wise gap by 1e-6 on a fixed fine grid; the result is
     cached per phi since the gap does not depend on the variant constant
     (both routes carry it exactly). A non-finite median, from a NaN or an
-    infinity at some node, fails the gate too. Both routes start from one
-    stacked sampling of the exact split M0+, M0-: the solver gets their sum,
-    formed in place over M0-, and the exact factors are formed from M0+ and
-    that sum, block by block, so the check holds four full (2, 2, N) arrays
-    at once (see _route_gap_median).
+    infinity at some node, fails the gate too. The solver gets M0 sampled
+    on the whole grid; the exact factors are formed block by block, from
+    M0 and from M0+ sampled on each block's nodes, so the check holds three
+    full (2, 2, N) arrays at once (see _route_gap_median).
     """
     global _check_grid
     if instance.phi in _checked_phis:

@@ -12,9 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from whfactor import cli, engine, example2x2
+from whfactor import cli, engine, example2x2, rbvp
 from whfactor.cli import ConfigError, RunConfig, main, parse_config, run
-from whfactor.grid import MobiusGrid, hoelder_norm, sample
+from whfactor.grid import MobiusGrid, hoelder_norm, node_det, sample, winding
 
 
 def _example_cfg(**over):
@@ -437,8 +437,9 @@ def test_main_alphas_subcommand(capsys):
     assert main(["alphas", "--max", "0"]) == 2
 
 
-def _custom3_m0_spec():
-    # 3 x 3 entries a e^(i w x) / (x -+ i b): small, decaying, oscillatory
+def _custom3_m0_spec(diagonal=0.03, off=0.018):
+    # 3 x 3 entries a e^(i w x) / (x -+ i b): small, decaying, oscillatory;
+    # |a| is diagonal on the diagonal and off elsewhere
     rows = []
     for p in range(3):
         row = []
@@ -446,7 +447,7 @@ def _custom3_m0_spec():
             k = 3 * p + q
             b = 0.8 + 0.15 * k
             pole = b if k % 2 == 0 else -b
-            amp = 0.03 if p == q else 0.018
+            amp = diagonal if p == q else off
             angle = 2 * np.pi * k / 9
             row.append([{"num": [[amp * np.cos(angle), amp * np.sin(angle)]],
                          "den": [[0.0, pole], [1.0, 0.0]], "phase": -1.0 + 0.25 * k}])
@@ -488,6 +489,52 @@ _GOLDEN_DIGESTS = {
         "diagnostics.json": "b433af0eb424874b43e969ed98cdc44b45c2f731d1157a1a78221a6d20715ae2",
     },
 }
+
+
+def test_run_rejects_indices_the_winding_contradicts(tmp_path, capsys):
+    # custom3 at amplitude 1 has total index 4, not the declared 5: det(Lambda + M0)
+    # winds 4 times on 2048 nodes, with a largest phase step of 0.22 rad, so
+    # the count is resolved. The run stops before solving and writes nothing.
+    config = dict(_GOLDEN_CONFIGS["custom3"], grid_points=2048, custom={
+        "indices": [2, 2, 1], "lambda_s": 1, "m0_spec": _custom3_m0_spec(1.0, 0.6)})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    cfg = parse_config(cfg_path.read_text())
+    cfg.output_dir = str(out_dir)
+    with pytest.raises(ConfigError, match=r"total index 5, but det\(Lambda \+ M0\) winds 4 times"):
+        run(cfg)
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    assert "winds 4 times around 0 on 2048 nodes" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_accepts_indices_the_winding_confirms(tmp_path):
+    # the README custom problem winds once on 2048 nodes, as indices (1, 0)
+    # declare (largest phase step 0.008 rad); custom3 at the golden
+    # amplitude winds 5 times, as (2, 2, 1) declare
+    for text in (_readme_config("Config for a custom problem:"),
+                 json.dumps(dict(_GOLDEN_CONFIGS["custom3"], grid_points=2048, order=1))):
+        cfg = parse_config(text)
+        cfg.output_dir = str(tmp_path / "ok")
+        assert run(cfg)["residual_sup"][0] < 1e-2
+
+
+def test_run_leaves_an_unresolved_winding_unjudged(tmp_path):
+    # 2i e^(30ix) / (x + i) on the diagonal turns its phase by up to pi
+    # between neighbours on 64 nodes; that count (-5 against the declared 1)
+    # is not resolved, so it raises nothing
+    entry = [{"num": [[0.0, 2.0]], "den": [[0.0, 1.0], [1.0, 0.0]], "phase": 30.0}]
+    config = {"problem": "custom", "grid_points": 64, "order": 1, "output_dir": str(tmp_path / "u"),
+              "custom": {"indices": [1, 0], "lambda_s": 0,
+                         "m0_spec": {"entries": [[entry, []], [[], entry]]}}}
+    cfg = parse_config(json.dumps(config))
+    grid = MobiusGrid.build(64)
+    turns, largest = winding(node_det((engine.build_lambda0(rbvp.split_indices((1, 0)), grid)
+                                       + sample(cfg.custom.m0, grid)).samples))
+    assert round(turns) != 1 and largest >= np.pi / 2
+    run(cfg)
+    assert (tmp_path / "u" / "diagnostics.json").exists()
 
 
 def _digests(out_dir):

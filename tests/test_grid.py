@@ -17,6 +17,7 @@ from whfactor.grid import (
     node_sum,
     sample,
     sup_norm,
+    winding,
 )
 
 
@@ -272,6 +273,21 @@ def test_node_det_matches_lapack(n):
     for bad in (np.ones((3, n, n + 1)), np.ones((n, n))):  # not square; not a stack
         with pytest.raises(ValueError):
             node_det(bad)
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 2])
+def test_winding_counts_powers_of_w(k):
+    # w^k winds k times as x runs over the line and back through infinity;
+    # its phase steps 2 pi |k| / N between neighbours, across x = inf too
+    g = MobiusGrid.build(256)
+    turns, largest = winding(g.w_nodes ** k)
+    assert round(turns) == k and abs(turns - k) < 1e-12
+    assert largest == pytest.approx(2 * np.pi * abs(k) / 256, abs=1e-12)
+    # a loop the nodes do not resolve shows a step of pi/2 or more
+    assert winding(g.w_nodes ** 100)[1] >= np.pi / 2
+    values = g.w_nodes.copy()
+    values[7] = np.nan
+    assert all(np.isnan(winding(values)))
 
 
 @pytest.mark.parametrize("shape", [(257,), (257, 1, 1), (257, 3, 3)])
