@@ -172,11 +172,10 @@ def step_modes(samples: np.ndarray) -> StepModes:
     return StepModes(np.moveaxis(plus, -1, 0), c0, plus_sum, limit)
 
 
-def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
-    """Limit of m at x = infinity: exact from its closed form when that has one.
+def closed_form_limit(m: SampledMatrixFunction) -> Optional[np.ndarray]:
+    """Exact limit of m at x = infinity from its closed form.
 
-    Otherwise (no closed form, or one that oscillates or grows) the
-    trigonometric estimate sum_p c_p, which the caller has already computed.
+    None when m has no closed form, or one that oscillates or grows.
     """
     cf = m.closed_form
     if cf is not None and hasattr(cf, "limit_at_infinity"):
@@ -184,7 +183,17 @@ def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndar
             return np.asarray(cf.limit_at_infinity(), dtype=complex)
         except ValueError:
             pass
-    return np.asarray(estimate, dtype=complex)
+    return None
+
+
+def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
+    """Limit of m at x = infinity: exact from its closed form when that has one.
+
+    Otherwise the trigonometric estimate sum_p c_p, which the caller has
+    already computed.
+    """
+    exact = closed_form_limit(m)
+    return np.asarray(estimate, dtype=complex) if exact is None else exact
 
 
 def singular_S0(m: SampledMatrixFunction) -> SampledMatrixFunction:

@@ -134,11 +134,14 @@ def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
     key of Q, phase); polys maps a key to the polynomial's values, an array
     or, for a constant, a scalar; exps maps a phase to e^(i*phase*z), None
     for phase 0. An entry whose terms equal an earlier entry's is a copy of
-    it.
+    it, and each distinct P/Q is divided out once, into its own array.
     """
-    # complex quotients and products never overwrite an operand: numpy
-    # rounds some in-place ones (on one-element arrays) differently
-    quot, prod, acc = (np.empty(out.shape[-1:], dtype=complex) for _ in range(3))
+    # complex quotients and products never overwrite an operand, and a
+    # quotient of two constants is still written into a block-length array:
+    # numpy rounds some in-place ones (on one-element arrays) and its 0-d
+    # scalar ones differently
+    prod, acc = (np.empty(out.shape[-1:], dtype=complex) for _ in range(2))
+    quots = {}  # (key of P, key of Q) -> P/Q on the block
     done = {}  # terms of an assembled entry -> its slot
     for i, row in enumerate(cells):
         for j, cell in enumerate(row):
@@ -152,9 +155,12 @@ def _assemble(out: np.ndarray, cells, polys: dict, exps: dict) -> None:
                 slot[...] = 0
             last = len(cell) - 1
             for r, (num, den, phase) in enumerate(cell):
-                v = np.divide(polys[num], polys[den], out=quot)
+                v = quots.get((num, den))
+                if v is None:
+                    v = quots[num, den] = np.divide(polys[num], polys[den],
+                                                    out=np.empty(out.shape[-1:], dtype=complex))
                 if exps[phase] is not None:
-                    v = np.multiply(quot, exps[phase], out=prod)
+                    v = np.multiply(v, exps[phase], out=prod)
                 if r == 0:  # 0 + v, as a sum from zero: a -0.0 part of v turns +0.0
                     np.add(v, 0.0, out=slot if r == last else acc)
                 else:

@@ -144,11 +144,12 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
 
     M0 is sampled once on the whole grid, node-last, and the quadrature
     route solves the step for it with the known exponents (1, 0) of
-    Lambda0. The exact route works one block of nodes at a time: M0+ is
-    sampled on the block's nodes only, and from it and M0 come
-    N1+ = diag(conj w, 1)(M0+ - C0), N1- = (M0 - M0+) + C0 and their eight
-    entry gaps to the solver's factors. The check so holds three full
-    (2, 2, N) arrays: M0 and the solver's two factors.
+    Lambda0. The exact route works one block of nodes at a time: M0- is
+    sampled on the block's nodes only (it has two distinct entries and four
+    quotients, M0+ eight), and from it and M0 come N1- = M0- + C0,
+    N1+ = diag(conj w, 1)(M0 - N1-) and their eight entry gaps to the
+    solver's factors. The check so holds three full (2, 2, N) arrays: M0
+    and the solver's two factors.
     """
     x = g.x_nodes
     m0 = np.moveaxis(instance.M0(x), 0, -1)
@@ -159,10 +160,9 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
     gap = np.empty(g.n_points)
     for k in range(0, g.n_points, _BLOCK):
         s = slice(k, k + _BLOCK)
-        plus = np.moveaxis(instance.M0_plus(x[s]), 0, -1)  # M0+ on the block
-        minus = m0[..., s] - plus
+        minus = np.moveaxis(instance.M0_minus(x[s]), 0, -1)  # M0- on the block
         minus += c  # the exact N1-
-        plus -= c
+        plus = m0[..., s] - minus
         plus[0] *= np.conj(g.w_nodes[s])  # the exact N1+
         np.subtract(n_plus[..., s], plus, out=plus)
         np.subtract(n_minus[..., s], minus, out=minus)
@@ -184,8 +184,9 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     cached per phi since the gap does not depend on the variant constant
     (both routes carry it exactly). A non-finite median, from a NaN or an
     infinity at some node, fails the gate too. The solver gets M0 sampled
-    on the whole grid; the exact factors are formed block by block, from
-    M0 and from M0+ sampled on each block's nodes, so the check holds three
+    on the whole grid and never computes the mode sums, which the check
+    does not read; the exact factors are formed block by block, from M0
+    and from M0- sampled on each block's nodes, so the check holds three
     full (2, 2, N) arrays at once (see _route_gap_median).
     """
     global _check_grid

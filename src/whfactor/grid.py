@@ -39,10 +39,13 @@ def mobius_inverse(w):
     return 1j * (1 + w) / (1 - w)
 
 
+def _midpoint_angles(n: int) -> np.ndarray:
+    return (2 * np.arange(n) + 1) * np.pi / n
+
+
 @dataclass(frozen=True, eq=False)
 class MobiusGrid:
     n_points: int
-    theta_nodes: np.ndarray
     w_nodes: np.ndarray
     x_nodes: np.ndarray
 
@@ -51,11 +54,16 @@ class MobiusGrid:
         n = as_integer(n_points, "n_points")
         if n < 4:
             raise ValueError("n_points must be at least 4")
-        theta = (2 * np.arange(n) + 1) * np.pi / n
+        theta = _midpoint_angles(n)
         w = np.exp(1j * theta)
         # x = -cot(theta/2); monotone increasing, exact +/- pairing for even n
         x = -np.cos(theta / 2) / np.sin(theta / 2)
-        return cls(n, theta, w, x)
+        return cls(n, w, x)
+
+    @property
+    def theta_nodes(self) -> np.ndarray:
+        """The midpoint angles (2j+1) pi / n of the nodes, computed anew on each read."""
+        return _midpoint_angles(self.n_points)
 
     def spacing_at(self, x) -> np.ndarray:
         """Local node spacing on the line, pi*(1+x^2)/n."""

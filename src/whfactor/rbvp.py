@@ -83,29 +83,58 @@ def shift_density(n: SampledMatrixFunction, s: int) -> SampledMatrixFunction:
     return SampledMatrixFunction.node_last(n.grid, n.data * factor, cf)
 
 
-@dataclass(eq=False)
 class Step:
     """One order of the scheme: the solution of Lambda0+ N+ + N- = M, Lambda0+ = diag(w^kappas).
 
     n_plus and n_minus are N+ and N- at the nodes; constant is the full
-    n x n constant, its rows with exponent 1 zero; density is the M solved.
-    c0, plus_sum and limit are M's zero mode, sum_{p>0} c_p and limit at
-    x = infinity (the driver replaces the estimate of a remainder's limit by
-    the value propagated from M0's). r and sup_remainder (sup |M|) are set
-    by the driver. Off the line, N+ = diag(v^(-kappas)) (Omega0[M] - constant)
-    and N- = constant - Omega0[M], v = (z-i)/(z+i).
+    n x n constant, its rows with exponent 1 zero; density is the M solved
+    and c0 its zero mode. plus_sum (sum_{p>0} c_p) and limit (M at
+    x = infinity) are either given or, when left None, computed from the
+    density the first time they are read, with the bits that
+    cauchy.step_modes would give: limit exactly from M's closed form when
+    that has one, otherwise both from one forward FFT of M. The driver
+    replaces a remainder's limit by the value propagated from M0's. r and
+    sup_remainder (sup |M|) are set by the driver. Off the line,
+    N+ = diag(v^(-kappas)) (Omega0[M] - constant) and
+    N- = constant - Omega0[M], v = (z-i)/(z+i).
     """
 
-    n_plus: SampledMatrixFunction
-    n_minus: SampledMatrixFunction
-    constant: np.ndarray
-    kappas: np.ndarray
-    density: SampledMatrixFunction
-    c0: np.ndarray
-    plus_sum: np.ndarray
-    limit: np.ndarray
-    r: Optional[int] = None
-    sup_remainder: Optional[float] = None
+    def __init__(self, n_plus: SampledMatrixFunction, n_minus: SampledMatrixFunction,
+                 constant: np.ndarray, kappas: np.ndarray, density: SampledMatrixFunction,
+                 c0: np.ndarray, plus_sum: Optional[np.ndarray] = None,
+                 limit: Optional[np.ndarray] = None, r: Optional[int] = None,
+                 sup_remainder: Optional[float] = None):
+        self.n_plus, self.n_minus = n_plus, n_minus
+        self.constant, self.kappas = constant, kappas
+        self.density, self.c0 = density, c0
+        self._plus_sum, self._limit = plus_sum, limit
+        self.r, self.sup_remainder = r, sup_remainder
+
+    @property
+    def plus_sum(self) -> np.ndarray:
+        if self._plus_sum is None:
+            self._read_mode_sums()
+        return self._plus_sum
+
+    @property
+    def limit(self) -> np.ndarray:
+        if self._limit is None:
+            self._limit = cauchy.closed_form_limit(self.density)
+        if self._limit is None:
+            self._read_mode_sums()
+        return self._limit
+
+    @limit.setter
+    def limit(self, value: np.ndarray) -> None:
+        self._limit = value
+
+    def _read_mode_sums(self) -> None:
+        """Fill in whichever of plus_sum and limit is unset from one forward FFT of M."""
+        plus_sum, estimate = cauchy._mode_sums(cauchy._spectrum(self.density.samples))
+        if self._plus_sum is None:
+            self._plus_sum = plus_sum
+        if self._limit is None:
+            self._limit = cauchy.limit_or_estimate(self.density, estimate)
 
     @property
     def solution(self) -> "Step":
@@ -225,7 +254,10 @@ def solve_step(
     M - (plus - E), E the constant, so the boundary identity holds at the
     nodes to one rounding by construction. A driver that already holds
     them passes in `modes`, which must be cauchy.step_modes(m.samples);
-    only their shape is checked, and they are never written.
+    only their shape is checked, they are never written, and the step
+    takes its plus_sum and limit from them. Without `modes` the solve
+    takes one forward and one inverse FFT of M and no mode sums: the
+    step computes plus_sum and limit when they are first read (see Step).
     """
     n = m.dims[0]
     kappas = np.asarray(kappas)
@@ -250,9 +282,12 @@ def solve_step(
 
     own = modes is None  # then the plus part is this call's to overwrite
     if own:
-        modes = cauchy.step_modes(m.samples)
+        plus, c0 = cauchy._split(cauchy._spectrum(m.samples))
+        plus_sum = limit = None
+    else:
+        plus, c0 = np.moveaxis(modes.plus, 0, -1), modes.c0
+        plus_sum, limit = np.asarray(modes.plus_sum), cauchy.limit_or_estimate(m, modes.limit)
     # node-last, (n, n, N); rows are contiguous
-    plus = np.moveaxis(modes.plus, 0, -1)
     n_plus = np.subtract(plus, e[..., None], out=plus if own else None)
     n_minus = np.subtract(m.data, n_plus)
     if k:
@@ -263,7 +298,7 @@ def solve_step(
         constant=e,
         kappas=kappas,
         density=m,
-        c0=np.asarray(modes.c0),
-        plus_sum=np.asarray(modes.plus_sum),
-        limit=cauchy.limit_or_estimate(m, modes.limit),
+        c0=np.asarray(c0),
+        plus_sum=plus_sum,
+        limit=limit,
     )

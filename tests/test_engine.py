@@ -458,7 +458,8 @@ def test_lambda_factor_shares_lambda0_without_shift():
 
 def test_one_forward_fft_per_step(monkeypatch):
     # every step derives its split, plus-sum and limit from one forward FFT,
-    # and inverts only its plus part
+    # and inverts only its plus part; reading the steps' sums afterwards
+    # transforms nothing more
     counts = {"fft": 0, "ifft": 0}
 
     def counted(name):
@@ -484,6 +485,9 @@ def test_one_forward_fft_per_step(monkeypatch):
             _, res = _example_run(phi=0.1, n_points=256, order=order, strategy=strategy,
                                   refine_check=1)
             assert res.order_reached == order
+            assert counts == {"fft": order, "ifft": order}
+            for step in res.steps:
+                step.plus_sum, step.limit, step.minus_at_infinity()
             assert counts == {"fft": order, "ifft": order}
 
 

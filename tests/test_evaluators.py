@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 from whfactor.evaluators import ClosedForm, Term
 from whfactor.example2x2 import build_example, variant_constant
+from whfactor.grid import MobiusGrid
 
 
 def test_term_evaluates_rational_times_phase():
@@ -215,3 +216,27 @@ def test_real_node_path_equals_complex_path():
             assert real.tobytes() == cplx.tobytes()  # the signs of zeros too
         z = x[::97] + 0.5j
         assert np.array_equal(cf(z), _per_term_reference(cf, z))
+
+
+def test_each_entry_has_the_bits_of_its_own_evaluation():
+    # entries share their quotients P/Q (and copy an equal earlier entry):
+    # none of that may move a bit of any entry from its evaluation alone
+    inst = build_example(0.3)
+    shared = Term((0.4 - 1.2j, 0.5), (2j, 1.0))
+    one_pq = ClosedForm([
+        [(shared, Term(shared.num, shared.den, 0.8)), (Term(shared.num, shared.den, -0.8),)],
+        [(shared, Term((2.5 + 1j,)), Term((2.5 + 1j,), phase=0.8)), (shared,)],
+    ])
+    cases = [inst.M0, inst.M0_plus, inst.M0_minus, _custom3_m0(), _custom3_m0().mobius_scale(-1),
+             one_pq]
+    # three evaluation blocks on the real nodes, the last one short
+    x = MobiusGrid.build(2 * 8192 + 64).x_nodes
+    z = np.concatenate([x[::64] + 0.5j, x[::97] - 2j])
+    for cf in cases:
+        for pts in (x, z):
+            whole = cf(pts)
+            n, m = cf.shape
+            for i in range(n):
+                for j in range(m):
+                    alone = ClosedForm([[cf.entries[i][j]]])(pts)[..., 0, 0]
+                    assert whole[..., i, j].tobytes() == alone.tobytes(), (i, j)

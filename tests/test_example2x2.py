@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from whfactor import evaluators, example2x2, rbvp
+from whfactor import cauchy, evaluators, example2x2, rbvp
 from whfactor.evaluators import ClosedForm
 from whfactor.grid import MobiusGrid, sample
 
@@ -149,13 +149,13 @@ def test_route_cross_check_gate_runs_and_caches(monkeypatch):
 def test_route_gap_median_is_pinned():
     # the median the 1e-6 gate judges, at the gate's own grid; a cheaper
     # check must still measure this quantity
-    phi = 0.3
-    inst = example2x2.build_example(phi)
-    vs = example2x2.variant_constant(1, phi)
-    e_full = vs.c0 - inst.psi * example2x2.B_MATRICES[0]
     g = MobiusGrid.build(example2x2._CHECK_GRID_N)
-    median = example2x2._route_gap_median(inst, e_full, vs.c0, g)
-    assert median == pytest.approx(2.7484857477013826e-07, rel=1e-7)
+    for phi, want in ((0.3, 2.7484857477013826e-07), (0.05, 7.0883650e-08), (0.61, 3.8764300e-07)):
+        inst = example2x2.build_example(phi)
+        vs = example2x2.variant_constant(1, phi)
+        e_full = vs.c0 - inst.psi * example2x2.B_MATRICES[0]
+        median = example2x2._route_gap_median(inst, e_full, vs.c0, g)
+        assert median == pytest.approx(want, rel=1e-7), phi
 
 
 def _assert_skew_caught(monkeypatch, part):
@@ -205,14 +205,16 @@ def test_route_cross_check_rejects_a_non_finite_gap(monkeypatch):
 
 
 def test_route_cross_check_samples_only_the_split(monkeypatch):
-    # per phi, the check samples M0 once on its whole grid, and M0+ only on
-    # blocks of at most _BLOCK nodes that cover that grid once, in order; the
-    # solver is called once, with (m, kappas, free_block) alone
+    # per phi, the check samples M0 once on its whole grid, and M0- only on
+    # blocks of at most _BLOCK nodes that cover that grid once, in order; it
+    # never evaluates M0+, and the solver is called once, with
+    # (m, kappas, free_block) alone
     phi = 0.28613
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(2, phi)
     on_check_grid = []
-    plus_blocks = []
+    minus_blocks = []
+    plus_calls = []
     solver_calls = []
     real_call = ClosedForm.__call__
     real_solve = rbvp.solve_step
@@ -220,8 +222,10 @@ def test_route_cross_check_samples_only_the_split(monkeypatch):
     def counting_call(self, z):
         if np.shape(z) == (example2x2._CHECK_GRID_N,):
             on_check_grid.append(self)
+        if self is inst.M0_minus:
+            minus_blocks.append(np.array(z))
         if self is inst.M0_plus:
-            plus_blocks.append(np.array(z))
+            plus_calls.append(np.shape(z))
         return real_call(self, z)
 
     def recording_solve(*args, **kwargs):
@@ -235,9 +239,35 @@ def test_route_cross_check_samples_only_the_split(monkeypatch):
     example2x2._checked_phis.discard(phi)
     assert len(on_check_grid) == 1
     assert on_check_grid[0].entries == inst.M0.entries
-    assert plus_blocks and all(len(b) <= evaluators._BLOCK for b in plus_blocks)
-    np.testing.assert_array_equal(np.concatenate(plus_blocks), example2x2._check_grid.x_nodes)
+    assert minus_blocks and all(len(b) <= evaluators._BLOCK for b in minus_blocks)
+    np.testing.assert_array_equal(np.concatenate(minus_blocks), example2x2._check_grid.x_nodes)
+    assert plus_calls == []
     assert solver_calls == [(3, {})]
+
+
+def test_route_cross_check_computes_no_mode_sums(monkeypatch):
+    # the check reads only the solver's factors: a fresh phi takes no mode
+    # sums and builds no twiddle table, the 2^19 one (8 MiB) included
+    monkeypatch.setattr(example2x2, "_checked_phis", set())
+    sums, twiddles = [], []
+    real_sums, real_twiddles = cauchy._mode_sums, cauchy._twiddles
+
+    def recording_sums(raw):
+        sums.append(raw.shape)
+        return real_sums(raw)
+
+    def recording_twiddles(*args):
+        twiddles.append(args)
+        return real_twiddles(*args)
+
+    monkeypatch.setattr(cauchy, "_mode_sums", recording_sums)
+    monkeypatch.setattr(cauchy, "_twiddles", recording_twiddles)
+    phi = 0.23917
+    inst = example2x2.build_example(phi)
+    vs = example2x2.variant_constant(1, phi)
+    example2x2._cross_check_routes(inst, vs.c0 - inst.psi * example2x2.B_MATRICES[0], vs.c0)
+    assert example2x2._checked_phis == {phi}
+    assert sums == [] and twiddles == []
 
 
 def test_route_cross_check_stacked_halves_are_the_separate_samplings():
@@ -252,7 +282,7 @@ def test_route_cross_check_stacked_halves_are_the_separate_samplings():
 
 def test_route_check_m0_is_the_sum_of_its_split_on_the_check_grid():
     # the check solves M0 sampled from its own closed form, and forms the
-    # exact route from M0 and M0+; M0 agrees with M0+ + M0- to 1e-13 at every
+    # exact route from M0 and M0-; M0 agrees with M0+ + M0- to 1e-13 at every
     # node (2.7e-15 measured), far below the 1e-6 gate, so the gate measures
     # the solver and not the sampling
     x = MobiusGrid.build(example2x2._CHECK_GRID_N).x_nodes
@@ -264,15 +294,14 @@ def test_route_check_m0_is_the_sum_of_its_split_on_the_check_grid():
 
 def test_route_gap_median_footprint():
     # one check at the gate's grid holds three full (2, 2, N) arrays: M0 and
-    # the solver's N+ and N-. M0+ and the exact route are formed block by
-    # block; the solver's own temporaries come on top. Twiddles and the grid
-    # are built beforehand.
+    # the solver's N+ and N-. M0- and the exact route are formed block by
+    # block; the solver's own temporaries come on top. The grid is built
+    # beforehand, and the check builds no twiddle table.
     phi = 0.3
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(1, phi)
     e_full = vs.c0 - inst.psi * example2x2.B_MATRICES[0]
     g = MobiusGrid.build(example2x2._CHECK_GRID_N)
-    example2x2._route_gap_median(inst, e_full, vs.c0, g)  # fills the twiddle cache
     tracemalloc.start()
     try:
         example2x2._route_gap_median(inst, e_full, vs.c0, g)

@@ -182,6 +182,75 @@ def test_solve_step_with_shared_modes_and_kappas_is_identical():
     assert np.array_equal(shared.n_minus.samples, own.n_minus.samples)
 
 
+def _density(n, grid, form, seed=5):
+    """An n x n density: bare trigonometric samples, or a sampled closed form
+    that settles at infinity or oscillates there (so has no limit)."""
+    rng = np.random.default_rng(seed + n)
+    if form == "bare":
+        samples = np.zeros((grid.n_points, n, n), dtype=complex)
+        for p in range(-5, 6):
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            samples += c * (grid.w_nodes**p)[:, None, None]
+        return SampledMatrixFunction(grid, samples)
+    phase = 0.0 if form == "settling" else 0.7
+    coeffs = rng.standard_normal((n, n, 2)) + 1j * rng.standard_normal((n, n, 2))
+    cf = ClosedForm([[(Term(tuple(coeffs[i, j]), (1j, 1.0), phase),) for j in range(n)]
+                     for i in range(n)])
+    return sample(cf, grid)
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form", ["bare", "settling", "oscillating"])
+@pytest.mark.parametrize("n_points", [64, 256, 2048])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_standalone_step_computes_its_mode_sums_when_read(n, n_points, form):
+    # a solve without modes takes no mode sums; its step computes them on
+    # the first read, with the bits a step built from step_modes holds,
+    # whichever of plus_sum and limit is read first
+    m = _density(n, MobiusGrid.build(n_points), form)
+    kappas = [1] * (n - 1) + [0]
+    free = np.arange(1, n + 1) * (0.3 - 0.2j)
+    eager = rbvp.solve_step(m, kappas, free[None, :], cauchy.step_modes(m.samples))
+    modes = cauchy.step_modes(m.samples)
+    assert _same_bytes(eager.plus_sum, modes.plus_sum)
+    assert _same_bytes(eager.limit, cauchy.limit_or_estimate(m, modes.limit))
+    for first in ("plus_sum", "limit"):
+        step = rbvp.solve_step(m, kappas, free[None, :])
+        getattr(step, first)
+        for name in ("plus_sum", "limit", "c_total"):
+            assert _same_bytes(getattr(step, name), getattr(eager, name)), (first, name)
+        for name in ("plus_at_infinity", "minus_at_infinity"):
+            assert _same_bytes(getattr(step, name)(), getattr(eager, name)()), (first, name)
+
+
+def test_standalone_step_reads_a_closed_form_limit_without_a_transform(monkeypatch):
+    # limit comes from the closed form when that has one; only plus_sum,
+    # or a limit the closed form cannot give, takes the forward FFT
+    calls = []
+    real = cauchy._mode_sums
+
+    def recording(raw):
+        calls.append(raw.shape)
+        return real(raw)
+
+    monkeypatch.setattr(cauchy, "_mode_sums", recording)
+    g = MobiusGrid.build(256)
+    settling = rbvp.solve_step(_density(2, g, "settling"), [1, 0], np.zeros((1, 2)))
+    assert calls == []
+    settling.limit
+    assert calls == []
+    settling.plus_sum
+    assert calls == [(2, 2, 256)]
+    oscillating = rbvp.solve_step(_density(2, g, "oscillating"), [1, 0], np.zeros((1, 2)))
+    oscillating.limit
+    oscillating.plus_sum
+    assert calls == [(2, 2, 256)] * 2
+
+
 def test_solve_step_rejects_mismatched_modes_and_kappas():
     g, lam, m = _step_inputs(257)
     e = np.zeros((1, 2))
