@@ -21,7 +21,6 @@ accurate once z keeps clear of the sampled axis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -146,30 +145,6 @@ def plus_coefficient_sum(samples: np.ndarray) -> np.ndarray:
 def limit_estimate(samples: np.ndarray) -> np.ndarray:
     """Trigonometric estimate of the density's limit at x = infinity (theta = 0)."""
     return _mode_sums(_spectrum(samples))[1]
-
-
-@dataclass(eq=False)
-class StepModes:
-    """What one solver step needs from its density: one forward and one inverse FFT.
-
-    plus and c0 are mode_split's, plus as the (N, n, n) view of a node-last
-    array (the step takes the minus part from the density and plus);
-    plus_sum is plus_coefficient_sum's and limit is limit_estimate's, bit
-    for bit.
-    """
-
-    plus: np.ndarray
-    c0: np.ndarray
-    plus_sum: np.ndarray
-    limit: np.ndarray
-
-
-def step_modes(samples: np.ndarray) -> StepModes:
-    """Transform the samples once and derive the split and both mode sums."""
-    raw = _spectrum(samples)
-    plus_sum, limit = _mode_sums(raw)
-    plus, c0 = _split(raw)
-    return StepModes(np.moveaxis(plus, -1, 0), c0, plus_sum, limit)
 
 
 def closed_form_limit(m: SampledMatrixFunction) -> Optional[np.ndarray]:

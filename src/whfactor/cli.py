@@ -176,9 +176,7 @@ def _parse_custom(raw):
         raise ConfigError("indices must be a nonempty list of integers")
     try:
         profile = rbvp.split_indices(idx)
-    except rbvp.UnstableIndicesError as exc:
-        raise ConfigError(f"indices: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # UnstableIndicesError included
         raise ConfigError(f"indices: {exc}") from exc
     ls = raw["lambda_s"]
     if isinstance(ls, bool) or not isinstance(ls, int):

@@ -50,14 +50,17 @@ from .rbvp import (
     PartialIndexProfile,
     Step,
     _in_half_plane,
-    detect_kappas,
     solve_step,
     split_indices,
 )
 
 
 class NumericalError(RuntimeError):
-    """A non-finite intermediate quantity; the run cannot continue."""
+    """A computed quantity that cannot be trusted; the run cannot continue.
+
+    A non-finite intermediate quantity, or two routes to the same quantity
+    that disagree (the example family's route cross-check).
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +261,25 @@ def build_lambda0(profile: PartialIndexProfile, grid: MobiusGrid) -> SampledMatr
     return sample(ClosedForm.mobius_power_diag(kappas), grid)
 
 
+def _check_lambda0(lambda0: SampledMatrixFunction, kappas: np.ndarray) -> None:
+    """Raise ValueError unless lambda0 is diag(w^kappas) at every node.
+
+    Off-diagonal entries must lie within 1e-12 of 0, and diagonal ones
+    within 1e-9 + 1e-5 |target|, as np.allclose(d, target, atol=1e-9)
+    judges; NaN and inf fail.
+    """
+    w = lambda0.grid.w_nodes
+    for i in range(len(kappas)):
+        for j in range(len(kappas)):
+            target = (w if kappas[j] else 1.0) if i == j else 0.0
+            tol = 1e-9 + 1e-5 * np.abs(target) if i == j else 1e-12
+            if not np.all(np.abs(lambda0.data[i, j] - target) <= tol):
+                raise ValueError(
+                    "lambda0 does not match the profile's diagonal exponents "
+                    f"{tuple(kappas.tolist())}: entry ({i}, {j}) is off diag(w^kappas)"
+                )
+
+
 @dataclass(eq=False)
 class FactorizationResult:
     grid: MobiusGrid
@@ -351,18 +373,14 @@ def run_factorization(
     refine_check = as_integer(refine_check, "refine_check")
     strat = _as_strategy(strategy)
     grid = m0.grid
-    n, k = profile.n, profile.k
+    n = profile.n
     if m0.dims != (n, n):
         raise ValueError(f"m0 must be {n} x {n} for this profile")
     if lambda0.dims != (n, n) or lambda0.grid.n_points != grid.n_points:
         raise ValueError("lambda0 must match m0's grid and dimensions")
 
-    kappas = detect_kappas(lambda0)
-    if not np.array_equal(kappas, profile.shifted_kappas()):
-        raise ValueError(
-            f"lambda0 has diagonal exponents {tuple(kappas)}, "
-            f"the profile needs {tuple(profile.shifted_kappas())}"
-        )
+    kappas = profile.shifted_kappas()
+    _check_lambda0(lambda0, kappas)
 
     steps = []
     current = m0
@@ -372,19 +390,13 @@ def run_factorization(
             raise NumericalError(f"remainder at step {r} contains non-finite values")
         if sup_m < ATOL:
             break
-        modes = cauchy.step_modes(current.samples)  # the step's one forward and one inverse FFT
-        # the strategy gets its own copy: modes.plus_sum goes into the step
-        block = np.asarray(
-            strat.free_block(r, current, profile, modes.plus_sum.copy()), dtype=complex
-        )
-        if block.shape != (n - k, n):
-            raise ValueError(
-                f"strategy returned a free block of shape {block.shape}, expected {(n - k, n)}"
-            )
-        if not np.all(np.isfinite(block)):
-            raise NumericalError(f"strategy returned non-finite constants at step {r}")
-        step = solve_step(current, kappas, block, modes)
-        del modes  # the plus part is dead once the step is solved
+
+        def free_block(plus_sum):  # the strategy's block, from the solve's own transform
+            block = np.asarray(strat.free_block(r, current, profile, plus_sum), dtype=complex)
+            if not np.all(np.isfinite(block)):
+                raise NumericalError(f"strategy returned non-finite constants at step {r}")
+            return block
+        step = solve_step(current, kappas, free_block)
         if not (np.all(np.isfinite(step.n_plus.data)) and np.all(np.isfinite(step.n_minus.data))):
             raise NumericalError(f"step {r} produced non-finite factor terms")
         step.r, step.sup_remainder = r, sup_m

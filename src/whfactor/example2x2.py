@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import rbvp
+from .engine import NumericalError
 from .evaluators import _BLOCK, ClosedForm, Term
 from .grid import MobiusGrid, SampledMatrixFunction, node_matmul, sample
 
@@ -183,11 +184,12 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     the median node-wise gap by 1e-6 on a fixed fine grid; the result is
     cached per phi since the gap does not depend on the variant constant
     (both routes carry it exactly). A non-finite median, from a NaN or an
-    infinity at some node, fails the gate too. The solver gets M0 sampled
-    on the whole grid and never computes the mode sums, which the check
-    does not read; the exact factors are formed block by block, from M0
-    and from M0- sampled on each block's nodes, so the check holds three
-    full (2, 2, N) arrays at once (see _route_gap_median).
+    infinity at some node, fails the gate too, and a failed gate raises
+    NumericalError. The solver gets M0 sampled on the whole grid and never
+    computes the mode sums, which the check does not read; the exact
+    factors are formed block by block, from M0 and from M0- sampled on each
+    block's nodes, so the check holds three full (2, 2, N) arrays at once
+    (see _route_gap_median).
     """
     global _check_grid
     if instance.phi in _checked_phis:
@@ -197,7 +199,7 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     median = _route_gap_median(instance, e_full, c0, _check_grid)
     if not median <= 1e-6:
         verdict = "above 1e-6" if math.isfinite(median) else "is not finite"
-        raise ValueError(
+        raise NumericalError(
             "closed-form and quadrature factor routes disagree "
             f"(median gap {median:.3g} {verdict} on {_check_grid.n_points} nodes): "
             "quadrature/convention fault"

@@ -89,12 +89,12 @@ class Step:
     n_plus and n_minus are N+ and N- at the nodes; constant is the full
     n x n constant, its rows with exponent 1 zero; density is the M solved
     and c0 its zero mode. plus_sum (sum_{p>0} c_p) and limit (M at
-    x = infinity) are either given or, when left None, computed from the
-    density the first time they are read, with the bits that
-    cauchy.step_modes would give: limit exactly from M's closed form when
-    that has one, otherwise both from one forward FFT of M. The driver
-    replaces a remainder's limit by the value propagated from M0's. r and
-    sup_remainder (sup |M|) are set by the driver. Off the line,
+    x = infinity) are either given by solve_step, from the forward FFT of
+    its solve, or, when left None, computed from the density the first
+    time they are read, with the same bits: limit exactly from M's closed
+    form when that has one, otherwise both from one forward FFT of M. The
+    driver replaces a remainder's limit by the value propagated from M0's.
+    r and sup_remainder (sup |M|) are set by the driver. Off the line,
     N+ = diag(v^(-kappas)) (Omega0[M] - constant) and
     N- = constant - Omega0[M], v = (z-i)/(z+i).
     """
@@ -209,55 +209,18 @@ def solve_scalar_index0(m: np.ndarray, grid: MobiusGrid, c_free: complex = 0.0) 
     return solve_step(_scalar(m, grid), (0,), [[c_free]])
 
 
-def detect_kappas(lambda0_plus: SampledMatrixFunction) -> np.ndarray:
-    """Exponents of a diagonal Lambda0+ whose entries are each 1 or (x-i)/(x+i)."""
-    s = lambda0_plus.data
-    n = s.shape[0]
-    for i in range(n):
-        for j in range(n):
-            # written so that a NaN entry fails the test
-            if i != j and not np.abs(s[i, j]).max() <= 1e-12:
-                raise ValueError("Lambda0+ must be diagonal with finite entries")
-    w = lambda0_plus.grid.w_nodes
-    # np.allclose(d, target, atol=1e-9) for a finite target, one pass per test:
-    # |d - target| <= 1e-9 + 1e-5 |target| at every node; NaN and inf fail
-    targets = ((0, 1.0, 1e-9 + 1e-5), (1, w, 1e-9 + 1e-5 * np.abs(w)))
-    diff = np.empty(len(w), dtype=complex)
-    gap = np.empty(len(w))
-    kappas = np.empty(n, dtype=int)
-    for j in range(n):
-        for kappa, target, tol in targets:
-            np.abs(np.subtract(s[j, j], target, out=diff), out=gap)
-            if np.less_equal(gap, tol).all():
-                kappas[j] = kappa
-                break
-        else:
-            raise ValueError(
-                f"diagonal entry {j} is neither 1 nor (x-i)/(x+i); stable-case scope only"
-            )
-    if any(a < b for a, b in zip(kappas, kappas[1:])):
-        raise ValueError("diagonal exponents must be non-increasing")
-    return kappas
-
-
-def solve_step(
-    m: SampledMatrixFunction,
-    kappas,
-    free_block,
-    modes: Optional[cauchy.StepModes] = None,
-) -> Step:
+def solve_step(m: SampledMatrixFunction, kappas, free_block) -> Step:
     """Solve Lambda0+ N+ + N- = M row by row, Lambda0+ = diag(w^kappas).
 
     kappas are non-increasing zeros and ones. Rows with exponent 1 use the
-    forced (zero) constant; rows with exponent 0 take the supplied free
-    constants, one row of free_block per index-0 row. N- is taken as
+    forced (zero) constant; rows with exponent 0 take the free constants,
+    one row of the (n-k, n) free block per index-0 row. N- is taken as
     M - (plus - E), E the constant, so the boundary identity holds at the
-    nodes to one rounding by construction. A driver that already holds
-    them passes in `modes`, which must be cauchy.step_modes(m.samples);
-    only their shape is checked, they are never written, and the step
-    takes its plus_sum and limit from them. Without `modes` the solve
-    takes one forward and one inverse FFT of M and no mode sums: the
-    step computes plus_sum and limit when they are first read (see Step).
+    nodes to one rounding by construction. The solve takes one forward and
+    one inverse FFT of M. free_block is the block itself, or a function
+    that returns it from a copy of sum_{p>0} c_p: then the step's plus_sum
+    and limit come from the solve's forward FFT. A plain block takes no
+    mode sums; the step computes them when they are first read (see Step).
     """
     n = m.dims[0]
     kappas = np.asarray(kappas)
@@ -267,28 +230,23 @@ def solve_step(
         raise ValueError(f"kappas must be 0 or 1, got {kappas.tolist()}; stable-case scope only")
     if np.any(kappas[:-1] < kappas[1:]):
         raise ValueError(f"kappas must be non-increasing, got {kappas.tolist()}")
-    if modes is not None and modes.plus.shape != m.samples.shape:
-        raise ValueError(
-            f"modes are for samples of shape {modes.plus.shape}, M has {m.samples.shape}"
-        )
     kappas = kappas.astype(int)
     k = int(kappas.sum())
+
+    raw = cauchy._spectrum(m.samples)  # node-last, (n, n, N); rows are contiguous
+    plus_sum = limit = None
+    if callable(free_block):
+        plus_sum, estimate = cauchy._mode_sums(raw)
+        limit = cauchy.limit_or_estimate(m, estimate)
+        free_block = free_block(plus_sum.copy())
     free = np.asarray(free_block, dtype=complex)
     if free.shape != (n - k, n):
         raise ValueError(f"free constant block must have shape {(n - k, n)}, got {free.shape}")
-
     e = np.zeros((n, n), dtype=complex)
     e[k:] = free
 
-    own = modes is None  # then the plus part is this call's to overwrite
-    if own:
-        plus, c0 = cauchy._split(cauchy._spectrum(m.samples))
-        plus_sum = limit = None
-    else:
-        plus, c0 = np.moveaxis(modes.plus, 0, -1), modes.c0
-        plus_sum, limit = np.asarray(modes.plus_sum), cauchy.limit_or_estimate(m, modes.limit)
-    # node-last, (n, n, N); rows are contiguous
-    n_plus = np.subtract(plus, e[..., None], out=plus if own else None)
+    plus, c0 = cauchy._split(raw)
+    n_plus = np.subtract(plus, e[..., None], out=plus)
     n_minus = np.subtract(m.data, n_plus)
     if k:
         n_plus[:k] *= np.conj(m.grid.w_nodes)

@@ -187,16 +187,19 @@ def test_reference_densities_bank():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_points", [256, 257])
-def test_step_modes_equal_separate_transforms(n_points, n):
-    # one shared transform gives exactly what the three separate ones give
+def test_solve_step_transform_equals_separate_transforms(n_points, n):
+    # the one transform of a step solved with a block function gives exactly
+    # what the three separate ones give: with exponents and constants all
+    # zero, N+ is the plus part itself
     rng = np.random.default_rng(100 * n + n_points)
     samples = rng.standard_normal((n_points, n, n)) + 1j * rng.standard_normal((n_points, n, n))
-    modes = cauchy.step_modes(samples)
-    plus, _, c0 = cauchy.mode_split(samples)
-    assert np.array_equal(modes.plus, plus)
-    assert np.array_equal(modes.c0, c0)
-    assert np.array_equal(modes.plus_sum, cauchy.plus_coefficient_sum(samples))
-    assert np.array_equal(modes.limit, cauchy.limit_estimate(samples))
+    m = SampledMatrixFunction(MobiusGrid.build(n_points), samples)
+    step = rbvp.solve_step(m, np.zeros(n, dtype=int), lambda plus_sum: np.zeros((n, n)))
+    plus, _, c0 = cauchy.mode_split(m.samples)
+    assert np.array_equal(step.n_plus.samples, plus)
+    assert np.array_equal(step.c0, c0)
+    assert np.array_equal(step.plus_sum, cauchy.plus_coefficient_sum(m.samples))
+    assert np.array_equal(step.limit, cauchy.limit_estimate(m.samples))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -340,7 +340,7 @@ def test_diagnostics_grid_rule(tmp_path):
     assert diag["c_mu_empirical_lower_bound"] == engine.c_mu_lower_bound(MobiusGrid.build(1024), cfg.mu)
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_example_cfg(grid_points=128, phi_list=[0.5]))
     out_dir = tmp_path / "m"
@@ -368,6 +368,27 @@ def test_main_exit_codes(tmp_path, capsys):
     # an override is checked as the config key it replaces, before the run
     assert main(["run", "--config", str(cfg_path), "--output-dir", ""]) == 2
     assert "output_dir must be a nonempty string" in capsys.readouterr().err
+
+    # a failed route cross-check is a numerical failure: exit 3, no output
+    for median in (1.0, float("nan")):
+        monkeypatch.setattr(example2x2, "_route_gap_median", lambda *args, median=median: median)
+        monkeypatch.setattr(example2x2, "_checked_phis", set())
+        gate_dir = tmp_path / f"gate-{median}"
+        assert main(["run", "--config", str(cfg_path), "--output-dir", str(gate_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: closed-form and quadrature factor routes disagree" in err
+        assert "quadrature/convention fault" in err
+        assert not gate_dir.exists()
+
+    # so is a remainder that overflows: M0 = diag(1e200/(x+i), 1e200i/(x+i))
+    huge = {"entries": [[[{"num": [[1e200, 0.0]], "den": [[0.0, 1.0], [1.0, 0.0]]}], []],
+                        [[], [{"num": [[0.0, 1e200]], "den": [[0.0, 1.0], [1.0, 0.0]]}]]]}
+    bad.write_text(_custom_cfg(order=3, grid_points=64,
+                               custom={"indices": [1, 0], "lambda_s": 0, "m0_spec": huge}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "huge")]) == 3
+    assert "numerical failure: remainder at step 2 contains non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "huge").exists()
 
 
 def test_main_order_and_grid_overrides(tmp_path):

@@ -518,3 +518,58 @@ def test_strategy_writing_plus_sum_leaves_records_alone():
         assert np.array_equal(a.plus_at_infinity(), b.plus_at_infinity())
         assert np.array_equal(a.c_total, b.c_total)
     assert np.array_equal(res.h_plus.samples, ref.h_plus.samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_check_lambda0_rejects_non_finite_off_diagonal(bad):
+    g = MobiusGrid.build(64)
+    samples = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples.copy()
+    samples[17, 1, 0] = bad
+    with pytest.raises(ValueError, match=re.escape("diagonal exponents (1, 0): entry (1, 0)")):
+        engine._check_lambda0(SampledMatrixFunction(g, samples), PROFILE.shifted_kappas())
+
+
+def test_check_lambda0_rejects_non_finite_diagonal():
+    g = MobiusGrid.build(64)
+    samples = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples.copy()
+    samples[5, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=re.escape("diagonal exponents (1, 0): entry (1, 1)")):
+        engine._check_lambda0(SampledMatrixFunction(g, samples), PROFILE.shifted_kappas())
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_check_lambda0_keeps_allclose_tolerance(kappa):
+    # accepted iff |d - target| <= 1e-9 + 1e-5 |target| at every node, as
+    # np.allclose(d, target, atol=1e-9) decides: 1.00005e-5 off passes only
+    # through the sum of both tolerances, 1.00015e-5 off fails
+    g = MobiusGrid.build(64)
+    kappas = np.array([kappa])
+    target = g.w_nodes if kappa else np.ones(64, dtype=complex)
+    for rel, ok in ((1.00005e-5, True), (-1.00005e-5, True), (1.00015e-5, False), (-1.00015e-5, False)):
+        d = target * (1 + rel)
+        assert np.allclose(d, target, atol=1e-9) == ok
+        lam = SampledMatrixFunction(g, d[:, None, None])
+        if ok:
+            engine._check_lambda0(lam, kappas)
+        else:
+            with pytest.raises(ValueError, match="diagonal exponents"):
+                engine._check_lambda0(lam, kappas)
+    d = target.copy()
+    d[9] = np.inf
+    with pytest.raises(ValueError, match="diagonal exponents"):
+        engine._check_lambda0(SampledMatrixFunction(g, d[:, None, None]), kappas)
+
+
+def test_check_lambda0_off_diagonal_tolerance():
+    # an off-diagonal entry passes within 1e-12 of 0 at every node, and no further
+    g = MobiusGrid.build(64)
+    base = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples
+    for size, ok in ((1e-12, True), (1.5e-12, False)):
+        samples = base.copy()
+        samples[11, 0, 1] = size * np.exp(0.3j)
+        lam = SampledMatrixFunction(g, samples)
+        if ok:
+            engine._check_lambda0(lam, PROFILE.shifted_kappas())
+        else:
+            with pytest.raises(ValueError, match=re.escape("entry (0, 1)")):
+                engine._check_lambda0(lam, PROFILE.shifted_kappas())

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from whfactor import cauchy, evaluators, example2x2, rbvp
+from whfactor import cauchy, engine, evaluators, example2x2, rbvp
 from whfactor.evaluators import ClosedForm
 from whfactor.grid import MobiusGrid, sample
 
@@ -170,7 +170,7 @@ def _assert_skew_caught(monkeypatch, part):
         return sol
 
     monkeypatch.setattr(rbvp, "solve_step", skewed)
-    with pytest.raises(ValueError, match="quadrature/convention fault"):
+    with pytest.raises(engine.NumericalError, match="quadrature/convention fault"):
         example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
     example2x2._checked_phis.discard(phi)
 
@@ -199,7 +199,8 @@ def test_route_cross_check_rejects_a_non_finite_gap(monkeypatch):
         return sol
 
     monkeypatch.setattr(rbvp, "solve_step", nan_at_one_node)
-    with pytest.raises(ValueError, match="median gap nan is not finite.*quadrature/convention fault"):
+    with pytest.raises(engine.NumericalError,
+                       match="median gap nan is not finite.*quadrature/convention fault"):
         example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
     assert phi not in example2x2._checked_phis
 
@@ -314,7 +315,7 @@ def test_route_gap_median_footprint():
 
 def test_route_cross_check_passes_known_kappas(monkeypatch):
     # Lambda0 = diag(w, 1) is known: the check hands its exponents (1, 0) to
-    # the solver, and builds and detects no Lambda0 on its grid
+    # the solver, and builds and checks no Lambda0 on its grid
     monkeypatch.setattr(example2x2, "_check_grid", None)
     monkeypatch.setattr(example2x2, "_checked_phis", set())
     calls = []
@@ -324,11 +325,11 @@ def test_route_cross_check_passes_known_kappas(monkeypatch):
         calls.append((m, np.array(kappas)))
         return real_solve(m, kappas, *args)
 
-    def no_detection(*args):
-        raise AssertionError("the check detected the exponents it already knows")
+    def no_check(*args):
+        raise AssertionError("the check checked a Lambda0 whose exponents it already knows")
 
     monkeypatch.setattr(rbvp, "solve_step", recording_solve)
-    monkeypatch.setattr(rbvp, "detect_kappas", no_detection)
+    monkeypatch.setattr(engine, "_check_lambda0", no_check)
     for phi in (0.31, 0.17):
         inst = example2x2.build_example(phi)
         example2x2.first_step_factors(inst, example2x2.variant_constant(1, phi), MobiusGrid.build(64))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from whfactor import cauchy, rbvp
+from whfactor import cauchy, engine, rbvp
 from whfactor.evaluators import ClosedForm, Term
 from whfactor.grid import MobiusGrid, SampledMatrixFunction, sample
 
@@ -139,16 +139,17 @@ def test_solve_step_validates_inputs():
         rbvp.solve_step(m, [2, 0], np.zeros((1, 2)))
     with pytest.raises(ValueError, match="non-increasing"):
         rbvp.solve_step(m, [0, 1], np.zeros((1, 2)))
-    # ... and detect_kappas those of a sampled Lambda0+
+    # ... the profile gives only stable exponents, and a sampled Lambda0+
+    # must hold the profile's
+    with pytest.raises(rbvp.UnstableIndicesError):
+        rbvp.split_indices((2, 0))
+    kappas = rbvp.split_indices((1, 0)).shifted_kappas()
     full = SampledMatrixFunction(g, np.ones((128, 2, 2), dtype=complex))
-    with pytest.raises(ValueError, match="diagonal"):
-        rbvp.detect_kappas(full)
-    wrong_diag = sample(ClosedForm.mobius_power_diag((2, 0)), g)
-    with pytest.raises(ValueError, match="stable-case scope"):
-        rbvp.detect_kappas(wrong_diag)
-    increasing = sample(ClosedForm.mobius_power_diag((0, 1)), g)
-    with pytest.raises(ValueError, match="non-increasing"):
-        rbvp.detect_kappas(increasing)
+    with pytest.raises(ValueError, match="diagonal exponents"):
+        engine._check_lambda0(full, kappas)
+    for wrong in ((2, 0), (0, 1)):
+        with pytest.raises(ValueError, match="diagonal exponents"):
+            engine._check_lambda0(sample(ClosedForm.mobius_power_diag(wrong), g), kappas)
 
 
 def test_solve_step_limit_from_closed_form():
@@ -171,15 +172,25 @@ def test_solve_step_half_plane_handles():
         sol.evaluate_plus(-1j)
 
 
-def test_solve_step_with_shared_modes_and_kappas_is_identical():
+def test_solve_step_with_a_block_function_is_identical():
+    # a function of the plus-sum in place of the block, and the profile's
+    # exponents in place of a list, solve the same step bit for bit; the
+    # function sees the plus-sum the step keeps
     g, lam, m = _step_inputs(257)
     e = np.array([[0.7, -1j]])
     own = rbvp.solve_step(m, [1, 0], e)
-    shared = rbvp.solve_step(m, rbvp.detect_kappas(lam), e, cauchy.step_modes(m.samples))
+    seen = []
+
+    def block(plus_sum):
+        seen.append(plus_sum)
+        return e
+
+    shared = rbvp.solve_step(m, rbvp.split_indices((1, 0)).shifted_kappas(), block)
     for field in ("constant", "kappas", "c0", "plus_sum", "limit"):
         assert np.array_equal(getattr(shared, field), getattr(own, field)), field
     assert np.array_equal(shared.n_plus.samples, own.n_plus.samples)
     assert np.array_equal(shared.n_minus.samples, own.n_minus.samples)
+    assert len(seen) == 1 and np.array_equal(seen[0], shared.plus_sum)
 
 
 def _density(n, grid, form, seed=5):
@@ -208,16 +219,15 @@ def _same_bytes(got, want):
 @pytest.mark.parametrize("n_points", [64, 256, 2048])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_standalone_step_computes_its_mode_sums_when_read(n, n_points, form):
-    # a solve without modes takes no mode sums; its step computes them on
-    # the first read, with the bits a step built from step_modes holds,
-    # whichever of plus_sum and limit is read first
+    # a solve with a plain block takes no mode sums; its step computes them
+    # on the first read, with the bits of a step whose solve took them for
+    # a block function, whichever of plus_sum and limit is read first
     m = _density(n, MobiusGrid.build(n_points), form)
     kappas = [1] * (n - 1) + [0]
     free = np.arange(1, n + 1) * (0.3 - 0.2j)
-    eager = rbvp.solve_step(m, kappas, free[None, :], cauchy.step_modes(m.samples))
-    modes = cauchy.step_modes(m.samples)
-    assert _same_bytes(eager.plus_sum, modes.plus_sum)
-    assert _same_bytes(eager.limit, cauchy.limit_or_estimate(m, modes.limit))
+    eager = rbvp.solve_step(m, kappas, lambda plus_sum: free[None, :])
+    assert _same_bytes(eager.plus_sum, cauchy.plus_coefficient_sum(m.samples))
+    assert _same_bytes(eager.limit, cauchy.limit_or_estimate(m, cauchy.limit_estimate(m.samples)))
     for first in ("plus_sum", "limit"):
         step = rbvp.solve_step(m, kappas, free[None, :])
         getattr(step, first)
@@ -251,64 +261,32 @@ def test_standalone_step_reads_a_closed_form_limit_without_a_transform(monkeypat
     assert calls == [(2, 2, 256)] * 2
 
 
-def test_solve_step_rejects_mismatched_modes_and_kappas():
+def test_solve_step_rejects_mismatched_kappas_and_blocks():
     g, lam, m = _step_inputs(257)
     e = np.zeros((1, 2))
     with pytest.raises(ValueError, match="kappas must have shape"):
         rbvp.solve_step(m, np.array([1, 0, 0]), e)
-    other = cauchy.step_modes(_step_inputs(256)[2].samples)
-    with pytest.raises(ValueError, match="modes are for samples"):
-        rbvp.solve_step(m, rbvp.detect_kappas(lam), e, other)
+    # a block function's block is checked as a plain block is
+    with pytest.raises(ValueError, match="free constant block must have shape"):
+        rbvp.solve_step(m, [1, 0], lambda plus_sum: plus_sum)
 
 
-def test_solve_step_leaves_supplied_modes_alone():
+def test_solve_step_leaves_its_inputs_alone():
+    # the solve never writes M's samples, and a block function that writes
+    # into its plus-sum argument leaves the step's plus_sum alone
     g, lam, m = _step_inputs(257)
     e = np.array([[0.7, -1j]])
-    modes = cauchy.step_modes(m.samples)
-    plus, c0 = modes.plus.copy(), modes.c0.copy()
-    kappas = rbvp.detect_kappas(lam)
-    first = rbvp.solve_step(m, kappas, e, modes)
-    second = rbvp.solve_step(m, kappas, e, modes)
+    data = m.data.copy()
+
+    def scribbling(plus_sum):
+        plus_sum[...] = 1e6
+        return e
+
+    first = rbvp.solve_step(m, [1, 0], scribbling)
+    assert np.array_equal(m.data, data)
+    second = rbvp.solve_step(m, [1, 0], e)
+    assert np.array_equal(m.data, data)
+    assert _same_bytes(first.plus_sum, second.plus_sum)
+    assert _same_bytes(first.plus_sum, cauchy.plus_coefficient_sum(m.samples))
     assert np.array_equal(first.n_plus.samples, second.n_plus.samples)
     assert np.array_equal(first.n_minus.samples, second.n_minus.samples)
-    assert np.array_equal(modes.plus, plus)
-    assert np.array_equal(modes.c0, c0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
-def test_detect_kappas_rejects_non_finite_off_diagonal(bad):
-    g = MobiusGrid.build(64)
-    samples = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples.copy()
-    samples[17, 1, 0] = bad
-    with pytest.raises(ValueError, match="diagonal"):
-        rbvp.detect_kappas(SampledMatrixFunction(g, samples))
-
-
-def test_detect_kappas_rejects_non_finite_diagonal():
-    g = MobiusGrid.build(64)
-    samples = sample(ClosedForm.mobius_power_diag((1, 0)), g).samples.copy()
-    samples[5, 1, 1] = np.nan
-    with pytest.raises(ValueError, match="neither 1 nor"):
-        rbvp.detect_kappas(SampledMatrixFunction(g, samples))
-
-
-@pytest.mark.parametrize("kappa", [0, 1])
-def test_detect_kappas_keeps_allclose_tolerance(kappa):
-    # accepted iff |d - target| <= 1e-9 + 1e-5 |target| at every node, as
-    # np.allclose(d, target, atol=1e-9) decides: 1.00005e-5 off passes only
-    # through the sum of both tolerances, 1.00015e-5 off fails
-    g = MobiusGrid.build(64)
-    target = g.w_nodes if kappa else np.ones(64, dtype=complex)
-    for rel, ok in ((1.00005e-5, True), (-1.00005e-5, True), (1.00015e-5, False), (-1.00015e-5, False)):
-        d = target * (1 + rel)
-        assert np.allclose(d, target, atol=1e-9) == ok
-        lam = SampledMatrixFunction(g, d[:, None, None])
-        if ok:
-            assert rbvp.detect_kappas(lam).tolist() == [kappa]
-        else:
-            with pytest.raises(ValueError, match="neither 1 nor"):
-                rbvp.detect_kappas(lam)
-    d = target.copy()
-    d[9] = np.inf
-    with pytest.raises(ValueError, match="neither 1 nor"):
-        rbvp.detect_kappas(SampledMatrixFunction(g, d[:, None, None]))
