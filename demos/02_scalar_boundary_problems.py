@@ -30,9 +30,6 @@ print(f"  n+ spread around i/2:  {np.abs(n_plus - 0.5j).max():.2e}")
 print(f"  n- spread around -i/2: {np.abs(n_minus + 0.5j).max():.2e}")
 print(f"  n+ continued to z = i: {complex(sol1.evaluate_plus(1j)[0, 0]):.6f}")
 
-# at index 1 the constant is not a free parameter: any nonzero request
-# would plant a pole at z = i and is rejected
-try:
-    solve_scalar_index1(m, grid, c_forced=0.1)
-except Exception as exc:
-    print(f"\nrequesting c = 0.1 at index 1: {type(exc).__name__}: {exc}")
+# at index 1 the constant is not a free parameter: any nonzero value would
+# plant a pole at z = i, so the solver always takes zero
+print(f"\nindex-1 constant, forced by analyticity at z = i: {complex(sol1.constant[0, 0])}")

@@ -4,7 +4,7 @@ The family G_phi = F- (Lambda0 + M0) F+ has four natural constant matrices
 B_0..B_3 (all with B^2 proportional to a fixed pattern), each giving a first
 factor pair with constant C0 = psi * B_id, psi = e^(-phi) - 1.  The first
 remainder then has the exact infinity limit C0 @ C0, which this script
-verifies against the quadrature route for every variant.
+verifies on the closed-form split for every variant.
 """
 
 import numpy as np
@@ -27,7 +27,8 @@ m0 = inst.M0(grid.x_nodes)
 
 for vid in range(4):
     vs = variant_constant(vid, PHI)
-    # the gate behind cross_check runs once per phi and is cached afterwards
+    # closed forms only: the route cross-check against the quadrature
+    # solver runs in figure_data, under `whfactor run` and `whfactor figures`
     sol = first_step_factors(inst, vs, grid)
 
     # boundary identity diag(w,1) N1+ + N1- = M0 at the nodes

@@ -27,7 +27,6 @@ from .engine import (
 from .example2x2 import build_example, first_remainder, first_step_factors, variant_constant
 from .grid import MobiusGrid, SampledMatrixFunction, sample
 from .rbvp import (
-    ForcedConstantError,
     Step,
     UnstableIndicesError,
     solve_scalar_index0,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "ForcedConstantError",
     "MobiusGrid",
     "NumericalError",
     "SampledMatrixFunction",

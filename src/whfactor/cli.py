@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -59,21 +59,6 @@ class ConfigError(ValueError):
 
 _STRATEGIES = tuple(sorted([*_BUILTIN_STRATEGIES, ExplicitConstants.name]))
 
-_KNOWN_KEYS = {
-    "problem",
-    "variant",
-    "phi_list",
-    "order",
-    "grid_points",
-    "mu",
-    "c_mu",
-    "strategy",
-    "explicit_constants",
-    "output_dir",
-    "refine_check",
-    "custom",
-}
-
 
 @dataclass(eq=False)
 class CustomProblem:
@@ -98,6 +83,7 @@ class RunConfig:
     custom: Optional[CustomProblem] = None
 
 
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 _MINIMUMS = {"order": 1, "grid_points": 64, "refine_check": 1}
 
 
@@ -377,10 +363,12 @@ def _check_total_index(lambda0, m0, profile) -> None:
 
     In the shifted frame det(Lambda0 + M0) winds profile.k times around 0
     when the indices are right. A count on a grid whose largest phase step
-    is pi/2 or more is not resolved, and is left unjudged.
+    is pi/2 or more is not resolved, and one taken over a non-finite
+    determinant means nothing: both are left unjudged.
     """
-    turns, largest = winding(node_det((lambda0 + m0).samples))
-    if largest < math.pi / 2 and round(turns) != profile.k:
+    det = node_det((lambda0 + m0).samples)
+    turns, largest = winding(det)
+    if largest < math.pi / 2 and round(turns) != profile.k and np.isfinite(det).all():
         shift = profile.n * profile.s  # the winding the w^(-s) shift took out
         raise ConfigError(
             f"indices {list(profile.indices)} declare total index {profile.k + shift}, "
@@ -587,7 +575,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, cauchy.AccuracyError, FloatingPointError, OverflowError) as exc:
+    except (NumericalError, cauchy.AccuracyError, FloatingPointError, OverflowError,
+            RuntimeWarning) as exc:  # a RuntimeWarning arrives here when raised as an error
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -52,13 +52,6 @@ class Term:
             self.phase + other.phase,
         )
 
-    def __call__(self, z):
-        z = np.asarray(z)
-        val = npoly.polyval(z, self.num) / npoly.polyval(z, self.den)
-        if self.phase != 0.0:
-            val = val * np.exp(1j * self.phase * z)
-        return val
-
 
 def _merge_terms(terms: Sequence[Term]) -> tuple:
     """Combine terms sharing (denominator, phase); drop exact-zero numerators."""
@@ -196,9 +189,8 @@ class ClosedForm:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "ClosedForm":
-        m = n if m is None else m
-        return cls([[() for _ in range(m)] for _ in range(n)])
+    def zeros(cls, n: int) -> "ClosedForm":
+        return cls([[() for _ in range(n)] for _ in range(n)])
 
     @classmethod
     def constant(cls, mat) -> "ClosedForm":
@@ -339,7 +331,8 @@ class ClosedForm:
                 out[i, j] = val
         return out
 
-    def has_real_pole(self, tol: float = 1e-9) -> bool:
+    def has_real_pole(self) -> bool:
+        """Whether some denominator has a root within 1e-9 of the real axis."""
         for row in self.entries:
             for cell in row:
                 for t in cell:
@@ -349,7 +342,7 @@ class ClosedForm:
                     # inside the companion-matrix solve; the verdict stands
                     with np.errstate(all="ignore"):
                         roots = npoly.polyroots(t.den)
-                    if np.any(np.abs(roots.imag) < tol):
+                    if np.any(np.abs(roots.imag) < 1e-9):
                         return True
         return False
 

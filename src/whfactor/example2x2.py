@@ -173,10 +173,10 @@ def _route_gap_median(instance: ExampleInstance, e_full: np.ndarray,
     return float(np.median(gap, overwrite_input=True))
 
 
-def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
-                        c0: np.ndarray) -> None:
+def _cross_check_routes(instance: ExampleInstance, variant: VariantSpec) -> None:
     """Compare the generic step solver against the closed-form split.
 
+    The solver gets E = C0 - psi*B0, the split's canonical-frame constant.
     A convention fault (wrong Plemelj sign, misplaced constant, wrong row
     scaling) offsets the two routes by O(phi) at essentially every node.
     Discretization noise is different: it is a folded spectral tail, small
@@ -189,13 +189,15 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     computes the mode sums, which the check does not read; the exact
     factors are formed block by block, from M0 and from M0- sampled on each
     block's nodes, so the check holds three full (2, 2, N) arrays at once
-    (see _route_gap_median).
+    (see _route_gap_median). figure_data runs this gate for every phi.
     """
     global _check_grid
     if instance.phi in _checked_phis:
         return
     if _check_grid is None:
         _check_grid = MobiusGrid.build(_CHECK_GRID_N)
+    c0 = variant.c0
+    e_full = c0 - (instance.psi * B_MATRICES[0]).astype(complex)
     median = _route_gap_median(instance, e_full, c0, _check_grid)
     if not median <= 1e-6:
         verdict = "above 1e-6" if math.isfinite(median) else "is not finite"
@@ -207,24 +209,17 @@ def _cross_check_routes(instance: ExampleInstance, e_full: np.ndarray,
     _checked_phis.add(instance.phi)
 
 
-def first_step_factors(
-    instance: ExampleInstance,
-    variant: VariantSpec,
-    grid: Optional[MobiusGrid] = None,
-    cross_check: bool = True,
-) -> rbvp.Step:
-    """First factor terms from the closed-form split, with a quadrature cross-check.
+def first_step_factors(instance: ExampleInstance, variant: VariantSpec,
+                       grid: MobiusGrid) -> rbvp.Step:
+    """First factor terms from the closed-form split, sampled on grid.
 
-    The returned samples and closed forms come from the exact route; the
-    equivalent canonical free constant E = C0 - psi*B0 (first row zero by the
-    shared-row structure) feeds the generic step solver, and the two routes
-    must agree. Agreement is judged on an internal fine grid by the median
-    node-wise gap, which isolates convention faults from the folded spectral
-    tail of the discrete split; see _cross_check_routes. Infinity data on the
-    returned step is exact.
+    Only closed forms are evaluated: N1+ and N1- are the exact split with
+    constant C0, and the step carries the equivalent canonical free
+    constant E = C0 - psi*B0 (first row zero by the shared-row structure).
+    Infinity data on the returned step is exact. The quadrature solver is
+    checked against this split by _cross_check_routes, which figure_data
+    runs for every phi.
     """
-    if grid is None:
-        grid = MobiusGrid.build(2048)
     if not math.isclose(instance.phi, variant.phi, rel_tol=0.0, abs_tol=1e-14):
         raise ValueError(
             f"instance (phi={instance.phi}) and variant (phi={variant.phi}) disagree"
@@ -232,9 +227,6 @@ def first_step_factors(
     c0 = variant.c0
     psi_b0 = (instance.psi * B_MATRICES[0]).astype(complex)
     e_full = c0 - psi_b0  # canonical-frame constant; row 0 is exactly zero
-
-    if cross_check:
-        _cross_check_routes(instance, e_full, c0)
 
     n1p_cf = ClosedForm.mobius_power_diag((-1, 0)) @ (instance.M0_plus - ClosedForm.constant(c0))
     n1m_cf = instance.M0_minus + ClosedForm.constant(c0)
@@ -264,22 +256,20 @@ FIGURE_COLUMNS = (
 )
 
 
-def first_remainder(variant_id: int, phi: float, grid: MobiusGrid,
-                    cross_check: bool = True) -> SampledMatrixFunction:
+def first_remainder(variant_id: int, phi: float, grid: MobiusGrid) -> SampledMatrixFunction:
     """M1 = -N1- N1+ on the grid, carried with its closed form."""
-    inst = build_example(phi)
-    vs = variant_constant(variant_id, phi)
-    sol = first_step_factors(inst, vs, grid, cross_check=cross_check)
+    sol = first_step_factors(build_example(phi), variant_constant(variant_id, phi), grid)
     return -(sol.n_minus @ sol.n_plus)
 
 
-def figure_data(variant: int, phis, grid: MobiusGrid, cross_check: bool = True):
-    """Normalized first-remainder table.
+def figure_data(variant: int, phis, grid: MobiusGrid):
+    """Normalized first-remainder table, each phi gated by the route cross-check.
 
     Returns (FIGURE_COLUMNS, rows) where each row is
     (variant, phi, x, p, q, Re m_pq/phi^2, Im m_pq/phi^2, |m_pq|/phi^2,
     x*|m_pq|/phi^2) with 1-based p, q; rows ordered by phi, then (p, q),
-    then node.
+    then node. Each phi's instance passes _cross_check_routes before its
+    rows are formed; a failed gate raises NumericalError.
     """
     vid = int(variant)
     phis = [float(p) for p in phis]
@@ -290,7 +280,10 @@ def figure_data(variant: int, phis, grid: MobiusGrid, cross_check: bool = True):
     x = grid.x_nodes
     blocks = []
     for phi in phis:
-        m1 = first_remainder(vid, phi, grid, cross_check=cross_check)
+        inst, vs = build_example(phi), variant_constant(vid, phi)
+        _cross_check_routes(inst, vs)
+        sol = first_step_factors(inst, vs, grid)
+        m1 = -(sol.n_minus @ sol.n_plus)
         scaled = m1.data / phi**2
         for p in range(2):
             for q in range(2):

@@ -26,16 +26,11 @@ class UnstableIndicesError(ValueError):
     """Partial indices with kappa_1 - kappa_n >= 2; out of the algorithm's scope."""
 
 
-class ForcedConstantError(ValueError):
-    """Index-1 constant incompatible with analyticity at z = i."""
-
-
 @dataclass(frozen=True)
 class PartialIndexProfile:
     indices: tuple
     s: int
     k: int
-    stable: bool
 
     @property
     def n(self) -> int:
@@ -68,7 +63,7 @@ def split_indices(indices) -> PartialIndexProfile:
         )
     s = idx[-1]
     k = sum(1 for v in idx if v == s + 1)
-    return PartialIndexProfile(tuple(idx), s, k, True)
+    return PartialIndexProfile(tuple(idx), s, k)
 
 
 def shift_density(n: SampledMatrixFunction, s: int) -> SampledMatrixFunction:
@@ -94,7 +89,8 @@ class Step:
     time they are read, with the same bits: limit exactly from M's closed
     form when that has one, otherwise both from one forward FFT of M. The
     driver replaces a remainder's limit by the value propagated from M0's.
-    r and sup_remainder (sup |M|) are set by the driver. Off the line,
+    r and sup_remainder (sup |M|) are set by the driver; they stay None on
+    a step solved outside it. Off the line,
     N+ = diag(v^(-kappas)) (Omega0[M] - constant) and
     N- = constant - Omega0[M], v = (z-i)/(z+i).
     """
@@ -102,13 +98,12 @@ class Step:
     def __init__(self, n_plus: SampledMatrixFunction, n_minus: SampledMatrixFunction,
                  constant: np.ndarray, kappas: np.ndarray, density: SampledMatrixFunction,
                  c0: np.ndarray, plus_sum: Optional[np.ndarray] = None,
-                 limit: Optional[np.ndarray] = None, r: Optional[int] = None,
-                 sup_remainder: Optional[float] = None):
+                 limit: Optional[np.ndarray] = None):
         self.n_plus, self.n_minus = n_plus, n_minus
         self.constant, self.kappas = constant, kappas
         self.density, self.c0 = density, c0
         self._plus_sum, self._limit = plus_sum, limit
-        self.r, self.sup_remainder = r, sup_remainder
+        self.r = self.sup_remainder = None
 
     @property
     def plus_sum(self) -> np.ndarray:
@@ -190,17 +185,13 @@ def _scalar(m, grid: MobiusGrid) -> SampledMatrixFunction:
     return SampledMatrixFunction(grid, np.asarray(m, dtype=complex)[:, None, None])
 
 
-def solve_scalar_index1(m: np.ndarray, grid: MobiusGrid, c_forced: complex = 0.0) -> Step:
+def solve_scalar_index1(m: np.ndarray, grid: MobiusGrid) -> Step:
     """w n+ + n- = m with n+ analytic at z = i: solve_step for n = 1, kappa = 1.
 
     Analyticity at i forces the constant to Omega0+[m](i) = 0, the corrected
-    operator's normalization; any value further than 1e-8 from it would
-    plant a pole and is rejected.
+    operator's normalization; any other value would plant a pole, so the
+    constant is always 0.
     """
-    if abs(c_forced) > 1e-8:
-        raise ForcedConstantError(
-            f"index-1 constant must equal Omega0+[m](i) = 0, got {c_forced!r}"
-        )
     return solve_step(_scalar(m, grid), (1,), np.zeros((0, 1)))
 
 

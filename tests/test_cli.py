@@ -340,6 +340,11 @@ def test_diagnostics_grid_rule(tmp_path):
     assert diag["c_mu_empirical_lower_bound"] == engine.c_mu_lower_bound(MobiusGrid.build(1024), cfg.mu)
 
 
+# M0 = diag(1e200/(x+i), 1e200i/(x+i)): det(Lambda + M0) overflows at every node
+_OVERFLOW_M0 = {"entries": [[[{"num": [[1e200, 0.0]], "den": [[0.0, 1.0], [1.0, 0.0]]}], []],
+                            [[], [{"num": [[0.0, 1e200]], "den": [[0.0, 1.0], [1.0, 0.0]]}]]]}
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_example_cfg(grid_points=128, phi_list=[0.5]))
@@ -381,14 +386,25 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert not gate_dir.exists()
 
     # so is a remainder that overflows: M0 = diag(1e200/(x+i), 1e200i/(x+i))
-    huge = {"entries": [[[{"num": [[1e200, 0.0]], "den": [[0.0, 1.0], [1.0, 0.0]]}], []],
-                        [[], [{"num": [[0.0, 1e200]], "den": [[0.0, 1.0], [1.0, 0.0]]}]]]}
     bad.write_text(_custom_cfg(order=3, grid_points=64,
-                               custom={"indices": [1, 0], "lambda_s": 0, "m0_spec": huge}))
+                               custom={"indices": [1, 0], "lambda_s": 0, "m0_spec": _OVERFLOW_M0}))
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "huge")]) == 3
     assert "numerical failure: remainder at step 2 contains non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "huge").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_reports_an_overflow_raised_as_an_error(tmp_path, capsys):
+    # with RuntimeWarnings raised as errors, the overflow in det(Lambda + M0)
+    # is a numerical failure too: exit 3 and no output directory
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(_custom_cfg(order=3, grid_points=64,
+                                    custom={"indices": [1, 0], "lambda_s": 0, "m0_spec": _OVERFLOW_M0}))
+    out_dir = tmp_path / "huge"
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(out_dir)]) == 3
+    assert "numerical failure: overflow" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_main_order_and_grid_overrides(tmp_path):
@@ -418,6 +434,17 @@ def test_main_figures_subcommand(tmp_path, capsys):
         assert main(["figures", "--variant", "2", "--phi", phi,
                      "--output-dir", str(tmp_path / "g")]) == 2
         assert "phi must be finite, got inf" in capsys.readouterr().err
+
+
+def test_figures_fails_on_a_failed_route_check(tmp_path, capsys, monkeypatch):
+    # figures gates each phi as run does: a failed gate exits 3 and writes no file
+    monkeypatch.setattr(example2x2, "_route_gap_median", lambda *args: 1.0)
+    monkeypatch.setattr(example2x2, "_checked_phis", set())
+    out_dir = tmp_path / "f"
+    assert main(["figures", "--variant", "2", "--phi", "0.5", "--grid-points", "64",
+                 "--output-dir", str(out_dir)]) == 3
+    assert "numerical failure: closed-form and quadrature factor routes disagree" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_figures_and_run_write_the_same_remainders(tmp_path):
@@ -556,6 +583,16 @@ def test_run_leaves_an_unresolved_winding_unjudged(tmp_path):
     assert round(turns) != 1 and largest >= np.pi / 2
     run(cfg)
     assert (tmp_path / "u" / "diagnostics.json").exists()
+
+
+def test_total_index_check_leaves_a_non_finite_determinant_unjudged(monkeypatch):
+    # an infinite determinant at every node has phase 0 throughout, a count
+    # of 0 against the declared 1; it says nothing about the indices
+    grid = MobiusGrid.build(64)
+    profile = rbvp.split_indices((1, 0))
+    m0 = sample(parse_config(_custom_cfg()).custom.m0, grid)
+    monkeypatch.setattr(cli, "node_det", lambda a: np.full(len(a), complex(np.inf, 0.0)))
+    cli._check_total_index(engine.build_lambda0(profile, grid), m0, profile)
 
 
 def _digests(out_dir):

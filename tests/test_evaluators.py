@@ -10,15 +10,17 @@ from whfactor.grid import MobiusGrid
 
 
 def test_term_evaluates_rational_times_phase():
+    # a term is evaluated as the one entry of a closed form (its complex path)
     t = Term((1.0, 2.0), (1.0, 1.0), 0.5)
     z = np.array([0.0, 1.0, -3.0 + 0.2j])
     direct = (1.0 + 2.0 * z) / (1.0 + z) * np.exp(0.5j * z)
-    assert np.allclose(t(z), direct)
+    assert np.allclose(ClosedForm([[(t,)]])(z)[:, 0, 0], direct)
 
 
 def test_term_defaults():
     t = Term((3.0,))
-    assert np.allclose(t(np.array([7.0, -1.0])), 3.0)
+    assert (t.den, t.phase) == ((1 + 0j,), 0.0)
+    assert np.allclose(ClosedForm([[(t,)]])(np.array([7.0, -1.0]))[:, 0, 0], 3.0)
 
 
 def _random_cf(rng, shape=(2, 2)):

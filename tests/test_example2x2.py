@@ -81,7 +81,7 @@ def test_first_step_factors_structure():
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(2, phi)
     g = MobiusGrid.build(1024)
-    sol = example2x2.first_step_factors(inst, vs, g, cross_check=False)
+    sol = example2x2.first_step_factors(inst, vs, g)
     psi = inst.psi
     assert list(sol.kappas) == [1, 0]
     # the canonical-frame constant has an exactly zero forced row
@@ -116,18 +116,18 @@ def test_first_step_rejects_phi_mismatch():
     inst = example2x2.build_example(0.1)
     vs = example2x2.variant_constant(0, 0.2)
     with pytest.raises(ValueError, match="disagree"):
-        example2x2.first_step_factors(inst, vs, MobiusGrid.build(256), cross_check=False)
+        example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
 
 
 def test_first_remainder_limit_matches_prediction():
     g = MobiusGrid.build(512)
     for vid in range(4):
-        m1 = example2x2.first_remainder(vid, 0.25, g, cross_check=False)
+        m1 = example2x2.first_remainder(vid, 0.25, g)
         vs = example2x2.variant_constant(vid, 0.25)
         got = m1.closed_form.limit_at_infinity()
         assert np.allclose(got, vs.predicted_M1_infinity, atol=1e-13), vid
     # variant 3 remainder dies off at infinity entirely
-    m1 = example2x2.first_remainder(3, 0.25, g, cross_check=False)
+    m1 = example2x2.first_remainder(3, 0.25, g)
     assert np.abs(m1.closed_form.limit_at_infinity()).max() < 1e-13
 
 
@@ -135,15 +135,36 @@ def test_route_cross_check_gate_runs_and_caches(monkeypatch):
     phi = 0.37519
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(1, phi)
-    g = MobiusGrid.build(512)
     assert phi not in example2x2._checked_phis
-    example2x2.first_step_factors(inst, vs, g)
+    example2x2._cross_check_routes(inst, vs)
     assert phi in example2x2._checked_phis
     # cached: the solver must not be consulted again for the same phi
     def explode(*a, **k):
         raise AssertionError("gate re-ran for a cached phi")
     monkeypatch.setattr(rbvp, "solve_step", explode)
-    example2x2.first_step_factors(inst, vs, g)
+    example2x2._cross_check_routes(inst, vs)
+
+
+def test_closed_form_oracle_runs_no_solver(monkeypatch):
+    # first_step_factors and first_remainder only evaluate closed forms: a
+    # fresh phi consults no solver and is not gated
+    phi = 0.35711
+    assert phi not in example2x2._checked_phis
+
+    def explode(*a, **k):
+        raise AssertionError("the closed-form oracle called the step solver")
+
+    monkeypatch.setattr(rbvp, "solve_step", explode)
+    g = MobiusGrid.build(64)
+    example2x2.first_step_factors(example2x2.build_example(phi), example2x2.variant_constant(1, phi), g)
+    example2x2.first_remainder(2, phi, g)
+    assert phi not in example2x2._checked_phis
+
+
+def test_figure_data_gates_each_phi(monkeypatch):
+    monkeypatch.setattr(example2x2, "_checked_phis", set())
+    example2x2.figure_data(1, [0.26183], MobiusGrid.build(64))
+    assert example2x2._checked_phis == {0.26183}
 
 
 def test_route_gap_median_is_pinned():
@@ -171,7 +192,7 @@ def _assert_skew_caught(monkeypatch, part):
 
     monkeypatch.setattr(rbvp, "solve_step", skewed)
     with pytest.raises(engine.NumericalError, match="quadrature/convention fault"):
-        example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
+        example2x2._cross_check_routes(inst, vs)
     example2x2._checked_phis.discard(phi)
 
 
@@ -201,7 +222,7 @@ def test_route_cross_check_rejects_a_non_finite_gap(monkeypatch):
     monkeypatch.setattr(rbvp, "solve_step", nan_at_one_node)
     with pytest.raises(engine.NumericalError,
                        match="median gap nan is not finite.*quadrature/convention fault"):
-        example2x2.first_step_factors(inst, vs, MobiusGrid.build(256))
+        example2x2._cross_check_routes(inst, vs)
     assert phi not in example2x2._checked_phis
 
 
@@ -236,7 +257,7 @@ def test_route_cross_check_samples_only_the_split(monkeypatch):
     monkeypatch.setattr(ClosedForm, "__call__", counting_call)
     monkeypatch.setattr(rbvp, "solve_step", recording_solve)
     assert phi not in example2x2._checked_phis
-    example2x2.first_step_factors(inst, vs, MobiusGrid.build(64))
+    example2x2._cross_check_routes(inst, vs)
     example2x2._checked_phis.discard(phi)
     assert len(on_check_grid) == 1
     assert on_check_grid[0].entries == inst.M0.entries
@@ -266,7 +287,7 @@ def test_route_cross_check_computes_no_mode_sums(monkeypatch):
     phi = 0.23917
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(1, phi)
-    example2x2._cross_check_routes(inst, vs.c0 - inst.psi * example2x2.B_MATRICES[0], vs.c0)
+    example2x2._cross_check_routes(inst, vs)
     assert example2x2._checked_phis == {phi}
     assert sums == [] and twiddles == []
 
@@ -332,7 +353,7 @@ def test_route_cross_check_passes_known_kappas(monkeypatch):
     monkeypatch.setattr(engine, "_check_lambda0", no_check)
     for phi in (0.31, 0.17):
         inst = example2x2.build_example(phi)
-        example2x2.first_step_factors(inst, example2x2.variant_constant(1, phi), MobiusGrid.build(64))
+        example2x2._cross_check_routes(inst, example2x2.variant_constant(1, phi))
     assert len(calls) == 2
     for m, kappas in calls:
         assert m.grid is example2x2._check_grid and m.dims == (2, 2)
@@ -344,7 +365,7 @@ def test_route_cross_check_passes_known_kappas(monkeypatch):
 def test_figure_data_table():
     g = MobiusGrid.build(64)
     phis = [0.3, 0.1]
-    cols, rows = example2x2.figure_data(1, phis, g, cross_check=False)
+    cols, rows = example2x2.figure_data(1, phis, g)
     assert cols == example2x2.FIGURE_COLUMNS
     assert rows.shape == (len(phis) * 4 * g.n_points, len(cols))
     # ordering: phi blocks, then (p, q) row-major with 1-based labels
@@ -355,7 +376,7 @@ def test_figure_data_table():
     assert np.all(np.diff(first[:, 2]) > 0)  # x ascending within a block
     assert np.all(rows[:, 0] == 1.0)
     # numeric content against a direct recomputation
-    m1 = example2x2.first_remainder(1, 0.3, g, cross_check=False)
+    m1 = example2x2.first_remainder(1, 0.3, g)
     scaled = m1.samples[:, 0, 0] / 0.3**2
     assert np.allclose(first[:, 5], scaled.real, atol=1e-13)
     assert np.allclose(first[:, 6], scaled.imag, atol=1e-13)

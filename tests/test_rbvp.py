@@ -11,7 +11,6 @@ from whfactor.grid import MobiusGrid, SampledMatrixFunction, sample
 def test_split_indices_basic():
     p = rbvp.split_indices((1, 0))
     assert (p.indices, p.s, p.k, p.n) == ((1, 0), 0, 1, 2)
-    assert p.stable
     assert np.array_equal(p.shifted_kappas(), [1, 0])
 
 
@@ -82,10 +81,11 @@ def test_scalar_index1_boundary_identity():
     assert np.allclose(g.w_nodes * n_plus + n_minus, m, atol=1e-12)
 
 
-def test_scalar_index1_rejects_forced_constant():
+def test_scalar_index1_forces_a_zero_constant():
+    # analyticity of n+ at z = i leaves no choice: the constant is exactly 0
     g = MobiusGrid.build(64)
-    with pytest.raises(rbvp.ForcedConstantError):
-        rbvp.solve_scalar_index1(1.0 / (g.x_nodes + 1j), g, c_forced=0.3)
+    sol = rbvp.solve_scalar_index1(1.0 / (g.x_nodes + 1j), g)
+    assert sol.constant.shape == (1, 1) and sol.constant[0, 0] == 0
 
 
 def test_scalar_index0_constant_freedom():
