@@ -95,31 +95,16 @@ def _split(raw: np.ndarray):
     return np.fft.ifft(raw, axis=-1, out=raw), c0
 
 
-_SUM_BLOCK = 1 << 13  # bins per block of the mode sums
-
-
 def _mode_sums(raw: np.ndarray):
-    """(sum_{p>0} c_p, sum_p c_p) from the DFT bins (last axis), block by block.
+    """(sum_{p>0} c_p, sum_p c_p) from the DFT bins (last axis), which it leaves alone.
 
-    These are the plus part and the density at x = infinity. The twisted
-    modes c_p are formed for one block of bins at a time, so no full-size
-    twisted spectrum is held. Each block is summed along its contiguous
-    last axis, pairwise as numpy sums it, and the block sums are added in
-    order of the bins.
+    These are the plus part and the density at x = infinity: the twisted
+    modes c_p are formed once, in a temporary of raw's size, and summed
+    along their contiguous last axis, pairwise as numpy sums.
     """
     n = raw.shape[-1]
-    h = (n + 1) // 2
-    tw = _twiddles(n)
-    plus = total = None
-    for k in range(0, n, _SUM_BLOCK):
-        c = _twist(raw[..., k:k + _SUM_BLOCK], tw[k:k + _SUM_BLOCK], n)
-        block = c.sum(axis=-1)
-        total = block if total is None else total + block
-        lo, hi = max(k, 1) - k, min(k + c.shape[-1], h) - k  # the block's bins with p > 0
-        if lo < hi:
-            part = block if hi - lo == c.shape[-1] else c[..., lo:hi].sum(axis=-1)
-            plus = part if plus is None else plus + part
-    return plus, total
+    c = _twist(raw, _twiddles(n), n)
+    return c[..., 1:(n + 1) // 2].sum(axis=-1), c.sum(axis=-1)
 
 
 def mode_split(samples: np.ndarray):
@@ -147,10 +132,12 @@ def limit_estimate(samples: np.ndarray) -> np.ndarray:
     return _mode_sums(_spectrum(samples))[1]
 
 
-def closed_form_limit(m: SampledMatrixFunction) -> Optional[np.ndarray]:
-    """Exact limit of m at x = infinity from its closed form.
+def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
+    """Limit of m at x = infinity: exact from its closed form when that has one.
 
-    None when m has no closed form, or one that oscillates or grows.
+    Otherwise, when m has no closed form or one that oscillates or grows,
+    the trigonometric estimate sum_p c_p, which the caller has already
+    computed.
     """
     cf = m.closed_form
     if cf is not None and hasattr(cf, "limit_at_infinity"):
@@ -158,17 +145,7 @@ def closed_form_limit(m: SampledMatrixFunction) -> Optional[np.ndarray]:
             return np.asarray(cf.limit_at_infinity(), dtype=complex)
         except ValueError:
             pass
-    return None
-
-
-def limit_or_estimate(m: SampledMatrixFunction, estimate: np.ndarray) -> np.ndarray:
-    """Limit of m at x = infinity: exact from its closed form when that has one.
-
-    Otherwise the trigonometric estimate sum_p c_p, which the caller has
-    already computed.
-    """
-    exact = closed_form_limit(m)
-    return np.asarray(estimate, dtype=complex) if exact is None else exact
+    return np.asarray(estimate, dtype=complex)
 
 
 def singular_S0(m: SampledMatrixFunction) -> SampledMatrixFunction:

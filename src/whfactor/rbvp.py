@@ -84,52 +84,23 @@ class Step:
     n_plus and n_minus are N+ and N- at the nodes; constant is the full
     n x n constant, its rows with exponent 1 zero; density is the M solved
     and c0 its zero mode. plus_sum (sum_{p>0} c_p) and limit (M at
-    x = infinity) are either given by solve_step, from the forward FFT of
-    its solve, or, when left None, computed from the density the first
-    time they are read, with the same bits: limit exactly from M's closed
-    form when that has one, otherwise both from one forward FFT of M. The
-    driver replaces a remainder's limit by the value propagated from M0's.
-    r and sup_remainder (sup |M|) are set by the driver; they stay None on
-    a step solved outside it. Off the line,
-    N+ = diag(v^(-kappas)) (Omega0[M] - constant) and
+    x = infinity) are set by whoever builds the step: solve_step takes
+    them from its forward FFT when a function chose the block and leaves
+    both None for a plain block. The driver replaces a remainder's limit
+    by the value propagated from M0's. r and sup_remainder (sup |M|) are
+    set by the driver; they stay None on a step solved outside it. Off the
+    line, N+ = diag(v^(-kappas)) (Omega0[M] - constant) and
     N- = constant - Omega0[M], v = (z-i)/(z+i).
     """
 
     def __init__(self, n_plus: SampledMatrixFunction, n_minus: SampledMatrixFunction,
                  constant: np.ndarray, kappas: np.ndarray, density: SampledMatrixFunction,
-                 c0: np.ndarray, plus_sum: Optional[np.ndarray] = None,
-                 limit: Optional[np.ndarray] = None):
+                 c0: np.ndarray, plus_sum: Optional[np.ndarray], limit: Optional[np.ndarray]):
         self.n_plus, self.n_minus = n_plus, n_minus
         self.constant, self.kappas = constant, kappas
         self.density, self.c0 = density, c0
-        self._plus_sum, self._limit = plus_sum, limit
+        self.plus_sum, self.limit = plus_sum, limit
         self.r = self.sup_remainder = None
-
-    @property
-    def plus_sum(self) -> np.ndarray:
-        if self._plus_sum is None:
-            self._read_mode_sums()
-        return self._plus_sum
-
-    @property
-    def limit(self) -> np.ndarray:
-        if self._limit is None:
-            self._limit = cauchy.closed_form_limit(self.density)
-        if self._limit is None:
-            self._read_mode_sums()
-        return self._limit
-
-    @limit.setter
-    def limit(self, value: np.ndarray) -> None:
-        self._limit = value
-
-    def _read_mode_sums(self) -> None:
-        """Fill in whichever of plus_sum and limit is unset from one forward FFT of M."""
-        plus_sum, estimate = cauchy._mode_sums(cauchy._spectrum(self.density.samples))
-        if self._plus_sum is None:
-            self._plus_sum = plus_sum
-        if self._limit is None:
-            self._limit = cauchy.limit_or_estimate(self.density, estimate)
 
     @property
     def solution(self) -> "Step":
@@ -190,14 +161,18 @@ def solve_scalar_index1(m: np.ndarray, grid: MobiusGrid) -> Step:
 
     Analyticity at i forces the constant to Omega0+[m](i) = 0, the corrected
     operator's normalization; any other value would plant a pole, so the
-    constant is always 0.
+    constant is always 0. The block is passed as a function, so the step
+    carries its plus-sum and limit.
     """
-    return solve_step(_scalar(m, grid), (1,), np.zeros((0, 1)))
+    return solve_step(_scalar(m, grid), (1,), lambda plus_sum: np.zeros((0, 1)))
 
 
 def solve_scalar_index0(m: np.ndarray, grid: MobiusGrid, c_free: complex = 0.0) -> Step:
-    """n+ + n- = m: solve_step for n = 1, kappa = 0; c_free shifts the parts oppositely."""
-    return solve_step(_scalar(m, grid), (0,), [[c_free]])
+    """n+ + n- = m: solve_step for n = 1, kappa = 0; c_free shifts the parts oppositely.
+
+    The block is passed as a function, so the step carries its plus-sum and limit.
+    """
+    return solve_step(_scalar(m, grid), (0,), lambda plus_sum: [[c_free]])
 
 
 def solve_step(m: SampledMatrixFunction, kappas, free_block) -> Step:
@@ -211,7 +186,7 @@ def solve_step(m: SampledMatrixFunction, kappas, free_block) -> Step:
     one inverse FFT of M. free_block is the block itself, or a function
     that returns it from a copy of sum_{p>0} c_p: then the step's plus_sum
     and limit come from the solve's forward FFT. A plain block takes no
-    mode sums; the step computes them when they are first read (see Step).
+    mode sums, and the step's plus_sum and limit are None.
     """
     n = m.dims[0]
     kappas = np.asarray(kappas)

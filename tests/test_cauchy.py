@@ -139,7 +139,7 @@ def test_jump_solution_continuation():
     # the jump problem A+ + A- = m is the step with every exponent 0
     g = MobiusGrid.build(256)
     m = sample(ClosedForm.mobius_power_diag((1,)), g)
-    sol = rbvp.solve_step(m, [0], np.zeros((1, 1)))
+    sol = rbvp.solve_step(m, [0], lambda plus_sum: np.zeros((1, 1)))
     z = 0.5j
     w_z = (z - 1j) / (z + 1j)
     assert abs(sol.evaluate_plus(z)[0, 0] - w_z) < 1e-12

@@ -458,9 +458,15 @@ def test_lambda_factor_shares_lambda0_without_shift():
 
 def test_one_forward_fft_per_step(monkeypatch):
     # every step derives its split, plus-sum and limit from one forward FFT,
-    # and inverts only its plus part; reading the steps' sums afterwards
-    # transforms nothing more
+    # takes one pass of mode sums right after it, and inverts only its plus
+    # part; reading the steps' sums afterwards transforms nothing more
     counts = {"fft": 0, "ifft": 0}
+    sums_after_fft = []
+    real_sums = cauchy._mode_sums
+
+    def recording_sums(raw):
+        sums_after_fft.append(counts["fft"])
+        return real_sums(raw)
 
     def counted(name):
         real = getattr(np.fft, name)
@@ -479,13 +485,16 @@ def test_one_forward_fft_per_step(monkeypatch):
     np_ns.__getattr__ = lambda attr: getattr(np, attr)
     np_ns.fft = fft_ns
     monkeypatch.setattr(cauchy, "np", np_ns)
+    monkeypatch.setattr(cauchy, "_mode_sums", recording_sums)
     for strategy in ("canonical-zero", "minimize-remainder-infinity"):
         for order in (1, 4):
             counts.update(fft=0, ifft=0)
+            sums_after_fft.clear()
             _, res = _example_run(phi=0.1, n_points=256, order=order, strategy=strategy,
                                   refine_check=1)
             assert res.order_reached == order
             assert counts == {"fft": order, "ifft": order}
+            assert sums_after_fft == list(range(1, order + 1))
             for step in res.steps:
                 step.plus_sum, step.limit, step.minus_at_infinity()
             assert counts == {"fft": order, "ifft": order}

@@ -159,9 +159,9 @@ def test_node_last_kernels_keep_the_node_first_bits(n, n_points):
 
 
 def test_mode_sums_over_several_blocks():
-    # more bins than one block of the mode sums, with the plus range ending
-    # inside a block: the blocked sums match the full twisted spectrum's
-    n_points = 2 * cauchy._SUM_BLOCK + 101
+    # an odd grid of more than 2 * 8192 bins: the one-pass sums match the
+    # full twisted spectrum's
+    n_points = 2 * 8192 + 101
     rng = np.random.default_rng(5)
     s = _random_complex(rng, (n_points, 2, 2)) / (1 + np.arange(n_points))[:, None, None]
     p = np.rint(np.fft.fftfreq(n_points) * n_points).astype(int)

@@ -157,7 +157,7 @@ def test_solve_step_limit_from_closed_form():
     c = np.array([[0.5, 1j], [2.0, -1.0]])
     cf = ClosedForm.constant(c) + ClosedForm([[(Term((1.0,), (1j, 1.0)),), ()], [(), ()]])
     m = sample(cf, g)
-    sol = rbvp.solve_step(m, [1, 0], np.zeros((1, 2)))
+    sol = rbvp.solve_step(m, [1, 0], lambda plus_sum: np.zeros((1, 2)))
     assert np.allclose(sol.limit, c, atol=1e-14)
 
 
@@ -175,7 +175,7 @@ def test_solve_step_half_plane_handles():
 def test_solve_step_with_a_block_function_is_identical():
     # a function of the plus-sum in place of the block, and the profile's
     # exponents in place of a list, solve the same step bit for bit; the
-    # function sees the plus-sum the step keeps
+    # function sees the plus-sum the step keeps, and only its step has sums
     g, lam, m = _step_inputs(257)
     e = np.array([[0.7, -1j]])
     own = rbvp.solve_step(m, [1, 0], e)
@@ -186,11 +186,13 @@ def test_solve_step_with_a_block_function_is_identical():
         return e
 
     shared = rbvp.solve_step(m, rbvp.split_indices((1, 0)).shifted_kappas(), block)
-    for field in ("constant", "kappas", "c0", "plus_sum", "limit"):
+    for field in ("constant", "kappas", "c0"):
         assert np.array_equal(getattr(shared, field), getattr(own, field)), field
     assert np.array_equal(shared.n_plus.samples, own.n_plus.samples)
     assert np.array_equal(shared.n_minus.samples, own.n_minus.samples)
     assert len(seen) == 1 and np.array_equal(seen[0], shared.plus_sum)
+    assert shared.plus_sum is not None and shared.limit is not None
+    assert own.plus_sum is None and own.limit is None
 
 
 def _density(n, grid, form, seed=5):
@@ -218,28 +220,32 @@ def _same_bytes(got, want):
 @pytest.mark.parametrize("form", ["bare", "settling", "oscillating"])
 @pytest.mark.parametrize("n_points", [64, 256, 2048])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_standalone_step_computes_its_mode_sums_when_read(n, n_points, form):
-    # a solve with a plain block takes no mode sums; its step computes them
-    # on the first read, with the bits of a step whose solve took them for
-    # a block function, whichever of plus_sum and limit is read first
+def test_a_plain_block_step_carries_no_mode_sums(n, n_points, form):
+    # a solve with a block function takes the mode sums, with the bits of
+    # the public helpers; one with a plain block takes none, and its step
+    # has the same factors and None for both sums
     m = _density(n, MobiusGrid.build(n_points), form)
     kappas = [1] * (n - 1) + [0]
     free = np.arange(1, n + 1) * (0.3 - 0.2j)
     eager = rbvp.solve_step(m, kappas, lambda plus_sum: free[None, :])
     assert _same_bytes(eager.plus_sum, cauchy.plus_coefficient_sum(m.samples))
     assert _same_bytes(eager.limit, cauchy.limit_or_estimate(m, cauchy.limit_estimate(m.samples)))
-    for first in ("plus_sum", "limit"):
-        step = rbvp.solve_step(m, kappas, free[None, :])
-        getattr(step, first)
-        for name in ("plus_sum", "limit", "c_total"):
-            assert _same_bytes(getattr(step, name), getattr(eager, name)), (first, name)
-        for name in ("plus_at_infinity", "minus_at_infinity"):
-            assert _same_bytes(getattr(step, name)(), getattr(eager, name)()), (first, name)
+    plain = rbvp.solve_step(m, kappas, free[None, :])
+    for name in ("constant", "c0"):
+        assert _same_bytes(getattr(plain, name), getattr(eager, name)), name
+    for name in ("n_plus", "n_minus"):
+        assert _same_bytes(getattr(plain, name).data, getattr(eager, name).data), name
+    assert plain.plus_sum is None and plain.limit is None
 
 
-def test_standalone_step_reads_a_closed_form_limit_without_a_transform(monkeypatch):
-    # limit comes from the closed form when that has one; only plus_sum,
-    # or a limit the closed form cannot give, takes the forward FFT
+def test_solve_step_sums_modes_once_and_reads_a_closed_form_limit(monkeypatch):
+    # a block-function solve takes one pass of mode sums; its limit comes
+    # from the closed form when that has one, else from the estimate; a
+    # plain-block solve takes no pass at all
+    g = MobiusGrid.build(256)
+    settling, oscillating = _density(2, g, "settling"), _density(2, g, "oscillating")
+    exact = np.asarray(settling.closed_form.limit_at_infinity(), dtype=complex)
+    estimate = cauchy.limit_estimate(oscillating.samples)
     calls = []
     real = cauchy._mode_sums
 
@@ -247,17 +253,16 @@ def test_standalone_step_reads_a_closed_form_limit_without_a_transform(monkeypat
         calls.append(raw.shape)
         return real(raw)
 
+    def block(plus_sum):
+        return np.zeros((1, 2))
+
     monkeypatch.setattr(cauchy, "_mode_sums", recording)
-    g = MobiusGrid.build(256)
-    settling = rbvp.solve_step(_density(2, g, "settling"), [1, 0], np.zeros((1, 2)))
-    assert calls == []
-    settling.limit
-    assert calls == []
-    settling.plus_sum
+    assert _same_bytes(rbvp.solve_step(settling, [1, 0], block).limit, exact)
     assert calls == [(2, 2, 256)]
-    oscillating = rbvp.solve_step(_density(2, g, "oscillating"), [1, 0], np.zeros((1, 2)))
-    oscillating.limit
-    oscillating.plus_sum
+    assert _same_bytes(rbvp.solve_step(oscillating, [1, 0], block).limit, estimate)
+    assert calls == [(2, 2, 256)] * 2
+    for m in (settling, oscillating):
+        rbvp.solve_step(m, [1, 0], np.zeros((1, 2)))
     assert calls == [(2, 2, 256)] * 2
 
 
@@ -284,9 +289,26 @@ def test_solve_step_leaves_its_inputs_alone():
 
     first = rbvp.solve_step(m, [1, 0], scribbling)
     assert np.array_equal(m.data, data)
-    second = rbvp.solve_step(m, [1, 0], e)
+    second = rbvp.solve_step(m, [1, 0], lambda plus_sum: e)
     assert np.array_equal(m.data, data)
     assert _same_bytes(first.plus_sum, second.plus_sum)
     assert _same_bytes(first.plus_sum, cauchy.plus_coefficient_sum(m.samples))
     assert np.array_equal(first.n_plus.samples, second.n_plus.samples)
     assert np.array_equal(first.n_minus.samples, second.n_minus.samples)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_scalar_solvers_keep_their_mode_sums(index):
+    # the public scalar solvers choose their block by a function, so their
+    # steps carry the sums, with the bits of the public helpers
+    g = MobiusGrid.build(512)
+    x = g.x_nodes
+    m = (1.0 / (x + 1j) + 0.3 * np.exp(1j * x) / (x - 2j)).astype(complex)
+    step = (rbvp.solve_scalar_index0(m, g, 0.25j) if index == 0
+            else rbvp.solve_scalar_index1(m, g))
+    assert step.plus_sum is not None and step.limit is not None
+    s = step.density.samples
+    assert _same_bytes(step.plus_sum, cauchy.plus_coefficient_sum(s))
+    assert _same_bytes(step.limit, cauchy.limit_or_estimate(step.density, cauchy.limit_estimate(s)))
+    assert np.all(np.isfinite(step.plus_at_infinity()))
+    assert np.all(np.isfinite(step.minus_at_infinity()))
