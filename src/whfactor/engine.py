@@ -162,7 +162,7 @@ def next_remainder(steps: Sequence[Step]) -> SampledMatrixFunction:
 
 def alpha_coefficients(r_max: int):
     """Exact rational alpha_r: alpha_1 = 1/2, then the self-convolution halved."""
-    r_max = int(r_max)
+    r_max = as_integer(r_max, "r_max")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     alphas = [Fraction(1, 2)]
@@ -204,8 +204,8 @@ def convergence_constant(m0: SampledMatrixFunction, mu: float, c_mu: float) -> C
     c_mu = float(c_mu)
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    if c_mu <= 0.0:
-        raise ValueError(f"c_mu must be positive, got {c_mu}")
+    if not 0.0 < c_mu < np.inf:
+        raise ValueError(f"c_mu must be positive and finite, got {c_mu}")
     if m0.grid.n_points > DIAGNOSTIC_NODES and m0.closed_form is not None:
         m0 = sample(m0.closed_form, MobiusGrid.build(DIAGNOSTIC_NODES))
     est = hoelder_norm(m0, mu)

@@ -29,7 +29,7 @@ import numpy as np
 from . import rbvp
 from .engine import NumericalError
 from .evaluators import _BLOCK, ClosedForm, Term
-from .grid import MobiusGrid, SampledMatrixFunction, node_matmul, sample
+from .grid import MobiusGrid, SampledMatrixFunction, as_integer, node_matmul, sample
 
 _DEN = (1j, 1.0)  # x + i, ascending
 
@@ -63,9 +63,12 @@ def build_example(phi: float) -> ExampleInstance:
     """All closed forms of the family at one parameter value.
 
     phi = 0 collapses every oscillatory numerator to zero, leaving M0
-    identically zero and G_phi equal to the base matrix F.
+    identically zero and G_phi equal to the base matrix F. A non-finite
+    phi raises a ValueError.
     """
     phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     psi = math.expm1(-phi)  # e^(-phi) - 1
     d = math.exp(-phi)
 
@@ -116,7 +119,7 @@ class VariantSpec:
 
 def variant_constant(variant_id: int, phi: float) -> VariantSpec:
     """C0 = psi * B_id and the squared prediction for M1 at infinity."""
-    variant_id = int(variant_id)
+    variant_id = as_integer(variant_id, "variant")
     if not 0 <= variant_id < len(B_MATRICES):
         raise ValueError(f"variant must be one of 0..{len(B_MATRICES) - 1}, got {variant_id}")
     psi = math.expm1(-float(phi))
@@ -230,14 +233,12 @@ def first_step_factors(instance: ExampleInstance, variant: VariantSpec,
 
     n1p_cf = ClosedForm.mobius_power_diag((-1, 0)) @ (instance.M0_plus - ClosedForm.constant(c0))
     n1m_cf = instance.M0_minus + ClosedForm.constant(c0)
-    m0_smf = sample(instance.M0, grid)
     return rbvp.Step(
         n_plus=sample(n1p_cf, grid),
         n_minus=sample(n1m_cf, grid),
         constant=e_full,
         kappas=_KAPPAS.copy(),
-        density=m0_smf,
-        c0=m0_smf.data.mean(axis=-1),
+        c0=sample(instance.M0, grid).data.mean(axis=-1),
         plus_sum=-psi_b0,  # exact plus-part value at infinity of the split density
         limit=np.zeros((2, 2), dtype=complex),
     )
@@ -271,12 +272,12 @@ def figure_data(variant: int, phis, grid: MobiusGrid):
     then node. Each phi's instance passes _cross_check_routes before its
     rows are formed; a failed gate raises NumericalError.
     """
-    vid = int(variant)
+    vid = as_integer(variant, "variant")
     phis = [float(p) for p in phis]
     if not phis:
         raise ValueError("phis must be nonempty")
-    if any(p <= 0 for p in phis):
-        raise ValueError("each phi must be positive")
+    if not all(0 < p < math.inf for p in phis):
+        raise ValueError("each phi must be positive and finite")
     x = grid.x_nodes
     blocks = []
     for phi in phis:

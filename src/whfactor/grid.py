@@ -17,9 +17,9 @@ import numpy as np
 
 
 def as_integer(v, name: str) -> int:
-    """int(v) for a whole number v; any other v, such as 2.7, inf or nan, raises a ValueError."""
+    """int(v) for a whole number v; any other v, such as True, 2.7, inf or nan, raises a ValueError."""
     try:
-        i = int(v)
+        i = None if isinstance(v, (bool, np.bool_)) else int(v)
     except (OverflowError, ValueError):  # int(inf), int(nan)
         i = None
     if i is None or i != v:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import cauchy
-from .grid import MobiusGrid, SampledMatrixFunction, node_sum, sup_norm
+from .grid import MobiusGrid, SampledMatrixFunction, as_integer, sup_norm
 
 
 class UnstableIndicesError(ValueError):
@@ -48,11 +48,11 @@ def split_indices(indices) -> PartialIndexProfile:
     s + 1. Profiles with kappa_1 - kappa_n >= 2 are rejected: the asymptotic
     scheme covers stable indices only.
     """
-    idx = []
-    for v in indices:
-        if int(v) != v:
-            raise ValueError(f"partial indices must be integers, got {v!r}")
-        idx.append(int(v))
+    indices = list(indices)
+    try:
+        idx = [as_integer(v, "partial index") for v in indices]
+    except ValueError:
+        raise ValueError(f"partial indices must be integers, got {indices!r}") from None
     if not idx:
         raise ValueError("index list must be nonempty")
     if any(a < b for a, b in zip(idx, idx[1:])):
@@ -82,23 +82,23 @@ class Step:
     """One order of the scheme: the solution of Lambda0+ N+ + N- = M, Lambda0+ = diag(w^kappas).
 
     n_plus and n_minus are N+ and N- at the nodes; constant is the full
-    n x n constant, its rows with exponent 1 zero; density is the M solved
-    and c0 its zero mode. plus_sum (sum_{p>0} c_p) and limit (M at
+    n x n constant, its rows with exponent 1 zero, and c0 the zero mode of
+    the M solved. The record holds no M: N+ has only modes p >= 0 on the
+    grid and N- only modes p <= 0, so each continues off the line from its
+    own samples, N+(z) = Omega0[N+](z) + (its zero mode) and
+    N-(z) = -Omega0[N-](z). plus_sum (sum_{p>0} c_p) and limit (M at
     x = infinity) are set by whoever builds the step: solve_step takes
     them from its forward FFT when a function chose the block and leaves
     both None for a plain block. The driver replaces a remainder's limit
     by the value propagated from M0's. r and sup_remainder (sup |M|) are
-    set by the driver; they stay None on a step solved outside it. Off the
-    line, N+ = diag(v^(-kappas)) (Omega0[M] - constant) and
-    N- = constant - Omega0[M], v = (z-i)/(z+i).
+    set by the driver; they stay None on a step solved outside it.
     """
 
     def __init__(self, n_plus: SampledMatrixFunction, n_minus: SampledMatrixFunction,
-                 constant: np.ndarray, kappas: np.ndarray, density: SampledMatrixFunction,
-                 c0: np.ndarray, plus_sum: Optional[np.ndarray], limit: Optional[np.ndarray]):
+                 constant: np.ndarray, kappas: np.ndarray, c0: np.ndarray,
+                 plus_sum: Optional[np.ndarray], limit: Optional[np.ndarray]):
         self.n_plus, self.n_minus = n_plus, n_minus
-        self.constant, self.kappas = constant, kappas
-        self.density, self.c0 = density, c0
+        self.constant, self.kappas, self.c0 = constant, kappas, c0
         self.plus_sum, self.limit = plus_sum, limit
         self.r = self.sup_remainder = None
 
@@ -120,21 +120,14 @@ class Step:
         return sup_norm(self.n_minus)
 
     def evaluate_plus(self, z: complex) -> np.ndarray:
-        """N+(z) in the upper half-plane, z = i included."""
+        """N+(z) in the upper half-plane, z = i included (Omega0 is 0 there)."""
         z = _in_half_plane(z, upper=True)
-        val = cauchy.cauchy_off_line(self.density, z) - self.constant
-        k = int(self.kappas.sum())  # the rows with exponent 1 come first
-        if k and z == 1j:  # v = 0: v^(-1) Omega0[M](z) tends to (1/N) sum_j conj(w_j) M(x_j)
-            g = self.density.grid
-            val[:k] = node_sum(np.conj(g.w_nodes), self.density.samples[:, :k]) / g.n_points
-        elif k:
-            val[:k] *= (z + 1j) / (z - 1j)
-        return val
+        return cauchy.cauchy_off_line(self.n_plus, z) + self.n_plus.data.mean(axis=-1)
 
     def evaluate_minus(self, z: complex) -> np.ndarray:
         """N-(z) in the lower half-plane."""
         z = _in_half_plane(z, upper=False)
-        return self.constant - cauchy.cauchy_off_line(self.density, z)
+        return -cauchy.cauchy_off_line(self.n_minus, z)
 
     def plus_at_infinity(self) -> np.ndarray:
         return self.plus_sum - self.constant
@@ -186,7 +179,9 @@ def solve_step(m: SampledMatrixFunction, kappas, free_block) -> Step:
     one inverse FFT of M. free_block is the block itself, or a function
     that returns it from a copy of sum_{p>0} c_p: then the step's plus_sum
     and limit come from the solve's forward FFT. A plain block takes no
-    mode sums, and the step's plus_sum and limit are None.
+    mode sums, and the step's plus_sum and limit are None. The step keeps
+    no reference to m: off the line N+(z) = Omega0[N+](z) + (N+'s mean) and
+    N-(z) = -Omega0[N-](z), from the terms' own samples.
     """
     n = m.dims[0]
     kappas = np.asarray(kappas)
@@ -221,7 +216,6 @@ def solve_step(m: SampledMatrixFunction, kappas, free_block) -> Step:
         n_minus=SampledMatrixFunction.node_last(m.grid, n_minus),
         constant=e,
         kappas=kappas,
-        density=m,
         c0=np.asarray(c0),
         plus_sum=plus_sum,
         limit=limit,

@@ -1,8 +1,10 @@
 """Factorization engine: recurrence, strategies, diagnostics, factor conditions."""
 
+import gc
 import re
 import tracemalloc
 import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +57,23 @@ def test_convergence_constant_hand_fed():
         engine.convergence_constant(m0, mu=1.2, c_mu=1.0)
     with pytest.raises(ValueError):
         engine.convergence_constant(m0, mu=0.5, c_mu=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_convergence_constant_refuses_non_finite_c_mu(bad):
+    # either would give a meaningless A (nan) or epsilon_bound (0.0)
+    m0 = sample(ClosedForm.zeros(2), MobiusGrid.build(128))
+    with pytest.raises(ValueError, match="c_mu must be positive and finite"):
+        engine.convergence_constant(m0, mu=0.5, c_mu=bad)
+
+
+def test_whole_number_arguments():
+    # a fractional r_max or a bool order is refused, not truncated or read as 1
+    with pytest.raises(ValueError, match=r"r_max must be an integer, got 2\.5"):
+        engine.alpha_coefficients(2.5)
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            _example_run(phi=0.3, n_points=256, order=bad)
 
 
 def test_c_mu_lower_bound_at_least_one():
@@ -183,7 +202,7 @@ def test_infinity_values_consistent_with_far_evaluation():
     assert np.abs(res.evaluate_h_minus(-1j) - res.h_minus_at_minus_i()).max() < 1e-10
 
 
-def _custom3_run(order=5, n_points=256):
+def _custom3_run(order=5, n_points=256, strategy="minimize-remainder-infinity"):
     """A shifted 3x3 run, indices (2, 2, 1): M0 entries a e^(i w x) / (x + i b), alternating poles."""
     prof = rbvp.split_indices((2, 2, 1))
     g = MobiusGrid.build(n_points)
@@ -198,7 +217,62 @@ def _custom3_run(order=5, n_points=256):
         rows.append(row)
     m0 = rbvp.shift_density(sample(ClosedForm(rows), g), prof.s)
     return engine.run_factorization(engine.build_lambda0(prof, g), m0, prof, order,
-                                    strategy="minimize-remainder-infinity")
+                                    strategy=strategy)
+
+
+def _from_remainder(m, step, z):
+    """N+(z) or N-(z) written through the M the step solved.
+
+    N+ = diag(v^(-kappas)) (Omega0[M](z) - E) and N- = E - Omega0[M](z),
+    v = (z-i)/(z+i); at z = i, v^(-1) Omega0[M](z) on a row with exponent 1
+    tends to (1/N) sum_j conj(w_j) M(x_j).
+    """
+    om = cauchy.cauchy_off_line(m, z)
+    if z.imag < 0:
+        return step.constant - om
+    val = om - step.constant
+    k = int(step.kappas.sum())
+    if z == 1j:
+        val[:k] = (np.conj(m.grid.w_nodes) * m.data[:k]).mean(axis=-1)
+    else:
+        val[:k] *= (z + 1j) / (z - 1j)
+    return val
+
+
+@pytest.mark.parametrize("strategy", ["canonical-zero", "minimize-remainder-infinity"])
+@pytest.mark.parametrize("problem", ["example", "custom3-shifted"])
+def test_step_terms_continue_as_the_remainder_does(problem, strategy):
+    # each step continues N+ and N- from their own samples; the values agree
+    # with the ones written through the remainder, taken from the recurrence
+    if problem == "example":
+        _, res = _example_run(phi=0.2, n_points=256, order=4, strategy=strategy)
+    else:
+        res = _custom3_run(order=4, strategy=strategy)
+    assert res.order_reached == 4
+    for r, step in enumerate(res.steps, start=1):
+        m = res.m0 if r == 1 else engine.next_remainder(res.steps[:r - 1])
+        for z in (1j, 0.3 + 0.7j, 2.0 + 1.5j, -1j, -0.4 - 0.9j, 2.0 - 1.5j):
+            got = step.evaluate_plus(z) if z.imag > 0 else step.evaluate_minus(z)
+            want = _from_remainder(m, step, z)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (r, z)
+
+
+def test_a_result_holds_no_remainder(monkeypatch):
+    # the remainders M_1..M_{R-1} live only while the driver needs them; a
+    # result keeps M0 alone
+    refs = []
+    forward = engine.next_remainder
+
+    def keeping(steps):
+        m = forward(steps)
+        refs.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(engine, "next_remainder", keeping)
+    _, res = _example_run(phi=0.1, n_points=256, order=4)
+    gc.collect()
+    assert res.order_reached == 4 and len(refs) == 3
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def _fold(start, terms):

@@ -161,6 +161,31 @@ def test_closed_form_oracle_runs_no_solver(monkeypatch):
     assert phi not in example2x2._checked_phis
 
 
+def _no_route_check(*a, **k):
+    raise AssertionError("the route cross-check ran")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_is_refused(monkeypatch, bad):
+    # no instance is built, and figure_data refuses before any route check
+    monkeypatch.setattr(example2x2, "_route_gap_median", _no_route_check)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        example2x2.build_example(bad)
+    with pytest.raises(ValueError, match="each phi must be positive and finite"):
+        example2x2.figure_data(1, [0.2, bad], MobiusGrid.build(64))
+
+
+def test_fractional_variant_is_refused(monkeypatch):
+    # a fractional or bool variant is refused, not read as variant 1; a whole float is taken
+    monkeypatch.setattr(example2x2, "_route_gap_median", _no_route_check)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="variant must be an integer"):
+            example2x2.variant_constant(bad, 0.2)
+    with pytest.raises(ValueError, match=r"variant must be an integer, got 1\.7"):
+        example2x2.figure_data(1.7, [0.2], MobiusGrid.build(64))
+    assert example2x2.variant_constant(2.0, 0.2).id == 2
+
+
 def test_figure_data_gates_each_phi(monkeypatch):
     monkeypatch.setattr(example2x2, "_checked_phis", set())
     example2x2.figure_data(1, [0.26183], MobiusGrid.build(64))

@@ -8,6 +8,7 @@ from whfactor.grid import (
     HoelderEstimate,
     MobiusGrid,
     SampledMatrixFunction,
+    as_integer,
     hoelder_norm,
     matrix_norm,
     mobius_forward,
@@ -38,6 +39,13 @@ def test_nodes_are_midpoints_on_circle():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match=rf"n_points must be an integer, got {bad}"):
             MobiusGrid.build(bad)
+
+
+def test_as_integer_refuses_bools():
+    assert as_integer(np.int64(7), "k") == 7 and as_integer(7.0, "k") == 7
+    for bad in (True, False, np.True_, np.False_):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            as_integer(bad, "k")
 
 
 def test_x_nodes_monotone_and_paired():

@@ -50,9 +50,9 @@ def test_every_step_solves_its_boundary_problem(problem):
     lambda0 = engine.build_lambda0(profile, grid)
     for strategy in ("canonical-zero", "minimize-remainder-infinity"):
         res = engine.run_factorization(lambda0, m0, profile, 2, strategy=strategy)
-        assert res.order_reached >= 1 and res.steps[0].density is m0
-        for step in res.steps:
-            m = step.density.samples
+        assert res.order_reached >= 1 and res.m0 is m0
+        for r, step in enumerate(res.steps, start=1):
+            m = (m0 if r == 1 else engine.next_remainder(res.steps[:r - 1])).samples
             identity = node_matmul(lambda0.samples, step.n_plus.samples) + step.n_minus.samples
             assert np.abs(identity - m).max() <= 1e-12, (strategy, step.r)
     kappas = profile.shifted_kappas()
