@@ -201,23 +201,31 @@ def resample(m: SampledMatrixFunction, factor: int) -> SampledMatrixFunction:
 
 
 def _resample_to(m: SampledMatrixFunction, fine: MobiusGrid) -> SampledMatrixFunction:
-    """`resample` onto a finer grid the caller built, so that several functions share it."""
+    """`resample` onto a finer grid the caller built, so that several functions share it.
+
+    Each matrix entry is carried inside its own row of the fine array: its
+    DFT bins are taken into the row's head and twisted there, the n - h
+    modes p < 0 move to the row's tail and the h modes p >= 0 stay in
+    front, each untwisted for the fine grid, the bins between are zeroed,
+    and one inverse FFT in place gives the row's fine samples. So the fine
+    array is the only array a resample allocates.
+    """
     if m.closed_form is not None:
         return _sample(m.closed_form, fine)
     n, big_n = m.grid.n_points, fine.n_points
-    raw = _spectrum(m.samples)
-    c = _twist(raw, _twiddles(n), n, out=raw)
-    # the h modes p >= 0 open the fine spectrum and the n - h modes p < 0
-    # close it, each in its own bin of the fine grid; the bins between are 0
     h = (n + 1) // 2
-    untwist = _twiddles(n, big_n)
+    twist, untwist = _twiddles(n), _twiddles(n, big_n)
+    tail = big_n - (n - h)
     big = np.empty(m.dims + (big_n,), dtype=complex)
-    big[..., h:big_n - (n - h)] = 0
-    for bins, fine_bins in ((slice(0, h), slice(0, h)),
-                            (slice(h, n), slice(big_n - (n - h), big_n))):
-        part = np.multiply(c[..., bins], untwist[bins], out=big[..., fine_bins])
-        part *= big_n
-    return SampledMatrixFunction.node_last(fine, np.fft.ifft(big, axis=-1, out=big))
+    for entry, row in zip(m.data.reshape(-1, n), big.reshape(-1, big_n)):
+        head = row[:n]
+        _twist(np.fft.fft(entry, out=head), twist, n, out=head)
+        for bins, fine_bins in ((slice(0, h), slice(0, h)), (slice(h, n), slice(tail, big_n))):
+            part = np.multiply(head[bins], untwist[bins], out=row[fine_bins])
+            part *= big_n
+        row[h:tail] = 0
+        np.fft.ifft(row, out=row)
+    return SampledMatrixFunction.node_last(fine, big)
 
 
 def reference_densities():

@@ -437,6 +437,7 @@ def run_factorization(
         lambda0=lambda0,
         m0=m0,
     )
+    del current, colfac  # the refined residual's fine arrays need the room
     result.residual_sup = result.residual_sup_at(refine_check)
     return result
 

@@ -59,6 +59,13 @@ class ExampleInstance:
     M0_minus: ClosedForm
 
 
+def _finite_phi(phi: float) -> float:
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    return phi
+
+
 def build_example(phi: float) -> ExampleInstance:
     """All closed forms of the family at one parameter value.
 
@@ -66,9 +73,7 @@ def build_example(phi: float) -> ExampleInstance:
     identically zero and G_phi equal to the base matrix F. A non-finite
     phi raises a ValueError.
     """
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    phi = _finite_phi(phi)
     psi = math.expm1(-phi)  # e^(-phi) - 1
     d = math.exp(-phi)
 
@@ -118,15 +123,18 @@ class VariantSpec:
 
 
 def variant_constant(variant_id: int, phi: float) -> VariantSpec:
-    """C0 = psi * B_id and the squared prediction for M1 at infinity."""
+    """C0 = psi * B_id and the squared prediction for M1 at infinity.
+
+    A non-finite phi raises a ValueError.
+    """
     variant_id = as_integer(variant_id, "variant")
     if not 0 <= variant_id < len(B_MATRICES):
         raise ValueError(f"variant must be one of 0..{len(B_MATRICES) - 1}, got {variant_id}")
-    psi = math.expm1(-float(phi))
-    c0 = (psi * B_MATRICES[variant_id]).astype(complex)
+    phi = _finite_phi(phi)
+    c0 = (math.expm1(-phi) * B_MATRICES[variant_id]).astype(complex)
     return VariantSpec(
         id=variant_id,
-        phi=float(phi),
+        phi=phi,
         c0=c0,
         predicted_M1_infinity=node_matmul(c0, c0),
     )

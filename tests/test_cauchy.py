@@ -1,5 +1,7 @@
 """Jump operators, off-line Cauchy evaluation, resampling, the jump problem and its parts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,24 @@ def test_resample_zero_padded_modes():
     fine = cauchy.resample(m, 2)
     g2 = MobiusGrid.build(128)
     assert np.allclose(fine.samples[:, 0, 0], f(g2.x_nodes), atol=1e-12)
+
+
+def test_a_resample_holds_only_its_output():
+    # each entry is carried inside its own row of the fine array, so no
+    # spectrum of the samples is held next to it; the fine grid is built
+    # beforehand, as residual_sup_at builds one for all its operands
+    g, fine_grid = MobiusGrid.build(65536), MobiusGrid.build(2 * 65536)
+    rng = np.random.default_rng(3)
+    m = SampledMatrixFunction.node_last(g, rng.standard_normal((2, 2, 65536))
+                                        + 1j * rng.standard_normal((2, 2, 65536)))
+    cauchy._resample_to(m, fine_grid)  # fills the twiddle caches
+    tracemalloc.start()
+    try:
+        fine = cauchy._resample_to(m, fine_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * fine.data.nbytes, f"peak {peak / fine.data.nbytes:.2f} outputs"
 
 
 def test_resample_factor_one_is_identity():

@@ -275,6 +275,28 @@ def test_a_result_holds_no_remainder(monkeypatch):
     assert [ref() for ref in refs] == [None, None, None]
 
 
+def test_the_driver_holds_no_remainder_while_it_forms_the_residual(monkeypatch):
+    # the refined residual's fine arrays are formed with no remainder alive
+    refs, alive = [], []
+    forward, residual = engine.next_remainder, engine.FactorizationResult.residual_sup_at
+
+    def keeping(steps):
+        m = forward(steps)
+        refs.append(weakref.ref(m))
+        return m
+
+    def counting(self, refine=1):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return residual(self, refine)
+
+    monkeypatch.setattr(engine, "next_remainder", keeping)
+    monkeypatch.setattr(engine.FactorizationResult, "residual_sup_at", counting)
+    _, res = _example_run(phi=0.1, n_points=256, order=4, refine_check=2)
+    assert res.order_reached == 4 and len(refs) == 3
+    assert alive == [0]
+
+
 def _fold(start, terms):
     """start plus each term, one step at a time: the factor series written out."""
     total = start

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,15 @@ def test_non_finite_phi_is_refused(monkeypatch, bad):
         example2x2.build_example(bad)
     with pytest.raises(ValueError, match="each phi must be positive and finite"):
         example2x2.figure_data(1, [0.2, bad], MobiusGrid.build(64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_variant_constant_refuses_non_finite_phi(bad):
+    # refused before psi is formed: no NaN constant and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"phi must be finite, got {bad}"):
+            example2x2.variant_constant(1, bad)
 
 
 def test_fractional_variant_is_refused(monkeypatch):

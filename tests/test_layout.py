@@ -154,8 +154,9 @@ def test_node_last_kernels_keep_the_node_first_bits(n, n_points):
     assert np.array_equal(plus, old_plus) and np.array_equal(c0, old_c0)
     assert np.abs(minus - old_minus).max() <= 1e-13 * np.abs(old_minus).max()
     g = MobiusGrid.build(n_points)
-    fine = cauchy.resample(SampledMatrixFunction(g, a_view), 2)
-    assert np.array_equal(fine.samples, _old_resample(a, 2))
+    for factor in (2, 3):
+        fine = cauchy.resample(SampledMatrixFunction(g, a_view), factor)
+        assert np.array_equal(fine.samples, _old_resample(a, factor))
 
 
 def test_mode_sums_over_several_blocks():
