@@ -18,11 +18,12 @@ of rows, each cell has one format, and a repeat is formatted once (a
 column constant within a block once per block, the grid's x once per grid).
 
 One problem path: the example gives a closed-form M0 per phi, a custom
-problem one at the placeholder phi = 0.0. Each is sampled, shifted, factored
-and diagnosed: Hoelder norm on min(N, 2048) nodes, C_mu bound on
-min(N, 1024). The example adds its first-remainder table. A custom problem's
-declared total index is checked first, against the winding of
-det(Lambda + M0) on the run grid, when the grid resolves it.
+problem one at the placeholder phi = 0.0. Each is sampled, shifted, checked
+against its declared total index (engine.check_total_index), factored and
+diagnosed; the example adds its first-remainder table. The module reads
+configs and writes files: every diagnostic rule, grid cap included, lives
+in the engine, and the JSON objects of the factor conditions and the
+convergence diagnostics carry their records' own field names.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -46,11 +47,12 @@ from .engine import (
     build_lambda0,
     c_mu_lower_bound,
     check_factor_conditions,
+    check_total_index,
     convergence_constant,
     run_factorization,
 )
 from .evaluators import ClosedForm
-from .grid import MobiusGrid, node_det, sample, winding
+from .grid import MobiusGrid, sample
 
 
 class ConfigError(ValueError):
@@ -181,6 +183,13 @@ def _parse_custom(raw):
         raise ConfigError(f"m0_spec must describe a {n} x {n} matrix, got {m0.shape}")
     if real_pole:
         raise ConfigError("m0_spec has a pole on the real axis")
+    try:
+        limit = m0.limit_at_infinity()
+    except ValueError as exc:
+        raise ConfigError(f"m0_spec: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(limit))
+    if bad.size:
+        raise ConfigError("m0_spec: entry ({},{}) has no finite limit at infinity".format(*bad[0]))
     return CustomProblem(indices=tuple(idx), lambda_s=ls, m0=m0)
 
 
@@ -324,57 +333,26 @@ def _figure_blocks(rows, x_text):
 
 
 def _json_safe(v):
-    if v is None:
-        return None
     v = float(v)
     return v if math.isfinite(v) else None
 
 
+def _record_json(record):
+    """A report record as a JSON object: its own field names, bools as they are, floats made safe."""
+    return {key: v if isinstance(v, bool) else _json_safe(v) for key, v in asdict(record).items()}
+
+
 def _phi_entry(phi, result, report, diag):
-    entry = {
+    return {
         "phi": _json_safe(phi),
         "order_requested": result.order,
         "order_reached": result.order_reached,
         "residual_sup": _json_safe(result.residual_sup),
-        "per_step_norms": [
-            [_json_safe(a), _json_safe(b)] for a, b in ((r.sup_n_plus, r.sup_n_minus) for r in result.steps)
-        ],
+        "per_step_norms": [[_json_safe(r.sup_n_plus), _json_safe(r.sup_n_minus)] for r in result.steps],
         "per_step_remainder_sup": [_json_safe(r.sup_remainder) for r in result.steps],
-        "factor_conditions": {
-            "unit_column_defect": _json_safe(report.unit_column_defect),
-            "infinity_product_defect": _json_safe(report.infinity_product_defect),
-            "min_abs_det_h_minus": _json_safe(report.min_abs_det_h_minus),
-            "min_abs_det_h_plus": _json_safe(report.min_abs_det_h_plus),
-        },
-        "convergence": {
-            "A": _json_safe(diag.A),
-            "epsilon_bound": _json_safe(diag.epsilon_bound),
-            "C_mu_used": _json_safe(diag.C_mu_used),
-            "hoelder_norm": _json_safe(diag.hoelder_norm_N),
-            "mu": _json_safe(diag.mu),
-            "small_enough": bool(diag.small_enough),
-        },
+        "factor_conditions": _record_json(report),
+        "convergence": _record_json(diag),
     }
-    return entry
-
-
-def _check_total_index(lambda0, m0, profile) -> None:
-    """Raise ConfigError when the winding of det(Lambda0 + M0) contradicts the declared total index.
-
-    In the shifted frame det(Lambda0 + M0) winds profile.k times around 0
-    when the indices are right. A count on a grid whose largest phase step
-    is pi/2 or more is not resolved, and one taken over a non-finite
-    determinant means nothing: both are left unjudged.
-    """
-    det = node_det((lambda0 + m0).samples)
-    turns, largest = winding(det)
-    if largest < math.pi / 2 and round(turns) != profile.k and np.isfinite(det).all():
-        shift = profile.n * profile.s  # the winding the w^(-s) shift took out
-        raise ConfigError(
-            f"indices {list(profile.indices)} declare total index {profile.k + shift}, "
-            f"but det(Lambda + M0) winds {round(turns) + shift} times around 0 "
-            f"on {m0.grid.n_points} nodes (largest phase step {largest:.3g} rad)"
-        )
 
 
 def run(config: RunConfig) -> dict:
@@ -406,8 +384,10 @@ def run(config: RunConfig) -> dict:
     results = []
     for phi, m0_form in problems:
         m0 = rbvp.shift_density(sample(m0_form, grid), profile.s)
-        if config.problem == "custom":
-            _check_total_index(lambda0, m0, profile)
+        try:
+            check_total_index(lambda0, m0, profile)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         res = run_factorization(
             lambda0, m0, profile, config.order, strategy=strategy, refine_check=config.refine_check
         )
@@ -420,9 +400,7 @@ def run(config: RunConfig) -> dict:
         fig_rows = np.empty((0, len(example2x2.FIGURE_COLUMNS)))
 
     residuals = [res.residual_sup for _, res, _, _ in results]
-    ratios = []
-    for a, b in zip(residuals, residuals[1:]):
-        ratios.append(_json_safe(a / b) if b else None)
+    ratios = [_json_safe(a / b) if b else None for a, b in zip(residuals, residuals[1:])]
 
     diagnostics = {
         "problem": config.problem,
@@ -436,13 +414,9 @@ def run(config: RunConfig) -> dict:
         "refine_check": config.refine_check,
         "mu": config.mu,
         "c_mu": config.c_mu,
-        "c_mu_empirical_lower_bound": _json_safe(
-            c_mu_lower_bound(MobiusGrid.build(min(config.grid_points, 1024)), config.mu)
-        ),
-        "alpha": [_json_safe(float(a)) for a in alpha_coefficients(12)],
-        "per_phi": [
-            _phi_entry(phi, res, report, diag) for phi, res, report, diag in results
-        ],
+        "c_mu_empirical_lower_bound": _json_safe(c_mu_lower_bound(grid, config.mu)),
+        "alpha": [_json_safe(a) for a in alpha_coefficients(12)],
+        "per_phi": [_phi_entry(*entry) for entry in results],
         "residual_ratios": ratios,
     }
 

@@ -16,11 +16,12 @@ grid (and truncation plus interpolation on a refined one). The common
 unimodular shift w^s multiplies both sides of the factorization identically
 and drops out of every sup norm taken on the line.
 
-run_factorization only solves. The a-priori constant A = |M0|_mu (1 + C_mu)^2
-is a property of M0 and comes from convergence_constant, which takes the
-Hoelder norm on min(N, DIAGNOSTIC_NODES = 2048) nodes: an M0 on a larger
-grid is sampled there from its closed form, any other M0 is used as given.
-The CLI bounds C_mu with c_mu_lower_bound on min(N, 1024) nodes.
+check_total_index judges the declared total index before a run, and
+run_factorization only solves. A = |M0|_mu (1 + C_mu)^2 is a property of M0
+and comes from convergence_constant, with the Hoelder norm on at most
+DIAGNOSTIC_NODES = 2048 nodes: a larger closed-form M0 is sampled there,
+any other M0 is used as given. c_mu_lower_bound takes at most
+C_MU_NODES = 1024 nodes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .grid import (
     node_values,
     sample,
     sup_norm,
+    winding,
 )
 from .rbvp import (
     PartialIndexProfile,
@@ -174,6 +176,8 @@ def alpha_coefficients(r_max: int):
 
 # the Hoelder norm of M0 is taken on at most this many nodes
 DIAGNOSTIC_NODES = 2048
+# the empirical C_mu bound is taken on at most this many nodes
+C_MU_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ class ConvergenceDiagnostics:
     A: float
     epsilon_bound: float
     C_mu_used: float
-    hoelder_norm_N: float
+    hoelder_norm: float
     mu: float
     small_enough: bool
 
@@ -215,7 +219,7 @@ def convergence_constant(m0: SampledMatrixFunction, mu: float, c_mu: float) -> C
         A=a,
         epsilon_bound=eps,
         C_mu_used=c_mu,
-        hoelder_norm_N=est.total,
+        hoelder_norm=est.total,
         mu=mu,
         small_enough=bool(a < 1.0),
     )
@@ -224,9 +228,12 @@ def convergence_constant(m0: SampledMatrixFunction, mu: float, c_mu: float) -> C
 def c_mu_lower_bound(grid: MobiusGrid, mu: float) -> float:
     """Empirical lower bound for the singular-operator norm on H_mu.
 
-    Max of hoelder_norm(S0[f]) / hoelder_norm(f) over the fixed density bank;
-    a lower bound only, so A built from it may be an underestimate.
+    Max of hoelder_norm(S0[f]) / hoelder_norm(f) over the fixed density bank,
+    on a grid of more than C_MU_NODES nodes taken on that many; a lower
+    bound only, so A built from it may be an underestimate.
     """
+    if grid.n_points > C_MU_NODES:
+        grid = MobiusGrid.build(C_MU_NODES)
     best = 0.0
     for _name, f in cauchy.reference_densities():
         vals = np.asarray(f(grid.x_nodes), dtype=complex)[:, None, None]
@@ -248,9 +255,7 @@ ATOL = 1e-12
 @dataclass(frozen=True)
 class FactorConditionReport:
     unit_column_defect: float
-    unit_columns_ok: bool
     infinity_product_defect: float
-    infinity_product_ok: bool
     min_abs_det_h_minus: float
     min_abs_det_h_plus: float
 
@@ -259,6 +264,22 @@ def build_lambda0(profile: PartialIndexProfile, grid: MobiusGrid) -> SampledMatr
     """Shifted diagonal pattern diag(w x k, 1 x (n-k)) with its closed form."""
     kappas = tuple(int(v) for v in profile.shifted_kappas())
     return sample(ClosedForm.mobius_power_diag(kappas), grid)
+
+
+def check_total_index(lambda0, m0, profile: PartialIndexProfile) -> None:
+    """Raise ValueError when the winding of det(Lambda0 + M0) contradicts the declared total index.
+
+    In the shifted frame det(Lambda0 + M0) winds profile.k times around 0
+    when the indices are right; a count grid.winding finds unreliable is left unjudged.
+    """
+    count, largest, reliable = winding(node_det((lambda0.data + m0.data).transpose(2, 0, 1)))
+    if reliable and count != profile.k:
+        shift = profile.n * profile.s  # the winding the w^(-s) shift took out
+        raise ValueError(
+            f"indices {list(profile.indices)} declare total index {profile.k + shift}, "
+            f"but det(Lambda + M0) winds {count + shift} times around 0 "
+            f"on {m0.grid.n_points} nodes (largest phase step {largest:.3g} rad)"
+        )
 
 
 def _check_lambda0(lambda0: SampledMatrixFunction, kappas: np.ndarray) -> None:
@@ -371,6 +392,8 @@ def run_factorization(
     if order < 1:
         raise ValueError("order must be >= 1")
     refine_check = as_integer(refine_check, "refine_check")
+    if refine_check < 1:
+        raise ValueError("refine_check must be >= 1")
     strat = _as_strategy(strategy)
     grid = m0.grid
     n = profile.n
@@ -448,7 +471,8 @@ def check_factor_conditions(result: FactorizationResult) -> FactorConditionRepor
     Columns q < k of h-(-i) are unit vectors by the column structure of the
     assembled series (checked through the off-line evaluator); the product
     h-(inf) h+(inf) equals I only up to the truncation order, so its defect
-    is reported as a magnitude with a sanity flag rather than a tolerance.
+    is reported as a magnitude. The report judges neither defect; a caller
+    compares them with its own tolerance.
     """
     n, k = result.profile.n, result.profile.k
     hm_at = result.evaluate_h_minus(-1j)
@@ -462,9 +486,7 @@ def check_factor_conditions(result: FactorizationResult) -> FactorConditionRepor
     det_hp = np.abs(node_det(result.h_plus.samples))
     return FactorConditionReport(
         unit_column_defect=unit_defect,
-        unit_columns_ok=bool(unit_defect < 1e-8),
         infinity_product_defect=inf_defect,
-        infinity_product_ok=bool(inf_defect < 1.0),
         min_abs_det_h_minus=float(det_hm.min()),
         min_abs_det_h_plus=float(det_hp.min()),
     )

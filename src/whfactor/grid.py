@@ -260,18 +260,21 @@ def node_det(a: np.ndarray) -> np.ndarray:
 
 
 def winding(values: np.ndarray) -> tuple:
-    """(turns, largest step) of the loop the node values of a scalar function trace around 0.
+    """(count, largest step, reliable) of the loop the node values of a scalar function trace around 0.
 
     values are taken in node order, and the loop closes from the last node
     back to the first through x = infinity. Each step between neighbours is
-    the phase difference taken in [-pi, pi), and turns is their sum over
-    2 pi, a whole number up to rounding. It counts the winding right when
-    every true step is that short: a largest step below pi/2 says the grid
-    resolves the loop. A NaN value makes both numbers NaN.
+    the phase difference taken in [-pi, pi); count is their sum over 2 pi
+    in whole turns, or None when a value is not finite. It counts right when
+    every true step is that short: it is reliable when every value is finite
+    and the largest step is below pi/2, the sign that the grid resolves the loop.
     """
     phase = np.angle(values)
     steps = np.remainder(np.diff(phase, append=phase[:1]) + np.pi, 2 * np.pi) - np.pi
-    return float(steps.sum() / (2 * np.pi)), float(np.abs(steps).max())
+    largest = float(np.abs(steps).max())
+    if not np.isfinite(values).all():
+        return None, largest, False
+    return round(float(steps.sum()) / (2 * np.pi)), largest, largest < np.pi / 2
 
 
 def node_sum(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:

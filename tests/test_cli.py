@@ -1,5 +1,6 @@
 """Config parsing, run outputs, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -154,6 +155,21 @@ def _first_term(data):
         (lambda c: _first_term(c).update(num=[[True, 0.05]]), "must be real numbers, got True"),
         (lambda c: _first_term(c).update(dem=_first_term(c).pop("den")), "unknown term key.*: dem"),
         (lambda c: c["custom"]["m0_spec"].update(shap=[2, 2]), "unknown spec key.*: shap"),
+        # every entry needs a finite limit at infinity: x^2 e^(ix) / (x + i)
+        # grows, (0.01i + 0.01x) e^(ix) / (x + i) keeps oscillating, and
+        # 1e300 x / (1e-300 x + i) tends to 1e600
+        (lambda c: _first_term(c).update(num=[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+         r"^m0_spec: entry \(0,0\) has no limit at infinity$"),
+        (lambda c: c["custom"]["m0_spec"]["entries"][1][1][0].update(num=[[0.0, 0.01], [0.01, 0.0]]),
+         r"^m0_spec: entry \(1,1\) has no limit at infinity$"),
+        (lambda c: _first_term(c).update(num=[[0.0, 0.0], [1e300, 0.0]], den=[[0.0, 1.0], [1e-300, 0.0]],
+                                         phase=0.0),
+         r"^m0_spec: entry \(0,0\) has no finite limit at infinity$"),
+        # the shape and pole checks come first
+        (lambda c: c["custom"].update(m0_spec={"entries": [[[{"num": [[1.0, 0.0]], "phase": 1.0}]]]}),
+         "must describe a 2 x 2"),
+        (lambda c: _first_term(c).update(num=[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], den=[[-1.0, 0.0], [1.0, 0.0]]),
+         "pole on the real axis"),
     ],
 )
 def test_parse_custom_rejections(mutate, needle):
@@ -161,6 +177,15 @@ def test_parse_custom_rejections(mutate, needle):
     mutate(data)
     with pytest.raises(ConfigError, match=needle):
         parse_config(json.dumps(data))
+
+
+def test_custom_accepts_a_constant_entry(tmp_path):
+    # a constant has a limit at infinity, so 0.01 on the diagonal runs
+    data = json.loads(_custom_cfg(grid_points=64, order=1, output_dir=str(tmp_path / "const")))
+    _first_term(data).update(num=[[0.01, 0.0]], den=[[1.0, 0.0]], phase=0.0)
+    cfg = parse_config(json.dumps(data))
+    assert np.array_equal(cfg.custom.m0.limit_at_infinity(), np.diag([0.01, 0.0]))
+    assert run(cfg)["residual_sup"][0] < 1e-2
 
 
 def test_custom_rejects_real_pole():
@@ -325,6 +350,70 @@ def test_run_custom_problem(tmp_path):
     assert diag["per_phi"][0]["phi"] == 0.0  # placeholder for a custom run
     assert diag["per_phi"][0]["residual_sup"] < 1e-2
     assert summary["residual_sup"][0] == diag["per_phi"][0]["residual_sup"]
+
+
+def _library_run(cfg, phi, strategy):
+    grid = MobiusGrid.build(cfg.grid_points)
+    m0 = sample(example2x2.build_example(phi).M0, grid)
+    return engine.run_factorization(engine.build_lambda0(rbvp.split_indices((1, 0)), grid), m0,
+                                    rbvp.split_indices((1, 0)), cfg.order, strategy=strategy), m0
+
+
+def test_diagnostics_objects_mirror_the_records(tmp_path):
+    # factor_conditions and convergence carry their records' own fields:
+    # floats as _json_safe gives them, bools as they are
+    cfg, _ = _run_example(tmp_path)
+    entry = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["per_phi"][1]
+    res, m0 = _library_run(cfg, 0.25, "canonical-zero")
+    for key, record in (("factor_conditions", engine.check_factor_conditions(res)),
+                        ("convergence", engine.convergence_constant(m0, cfg.mu, cfg.c_mu))):
+        want = dataclasses.asdict(record)
+        assert entry[key] == want and set(entry[key]) == set(want)
+    assert entry["convergence"]["small_enough"] is False
+
+
+def test_run_explicit_strategy(tmp_path, capsys):
+    # whfactor run with explicit constants gives the factors of a library run
+    # with ExplicitConstants; a block of the wrong shape is a config error
+    blocks = [[[[0.1, -0.2], [0.0, 0.3]]], [[0.05, [0.0, -0.1]]]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_example_cfg(phi_list=[0.5], grid_points=64, order=3, strategy="explicit",
+                                     explicit_constants=blocks))
+    out_dir = tmp_path / "explicit"
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    cfg = parse_config(cfg_path.read_text())
+    res, _ = _library_run(cfg, 0.5, engine.ExplicitConstants(cfg.explicit_constants))
+    rows = [line.split(",") for line in (out_dir / "factors.csv").read_text().splitlines()[1:]]
+    got = {}
+    for _, _, name, p, q, re_, im in rows:
+        got.setdefault((name, int(p) - 1, int(q) - 1), []).append(complex(float(re_), float(im)))
+    for name, smf in (("h_minus", res.h_minus), ("h_plus", res.h_plus), ("lambda", res.lambda_factor)):
+        for p in range(2):
+            for q in range(2):
+                assert np.array_equal(got[name, p, q], smf.data[p, q]), (name, p, q)
+    # the free row of each step's constant; the last block repeats
+    free_rows = [step.constant[1].tolist() for step in res.steps]
+    assert free_rows == [[0.1 - 0.2j, 0.3j], [0.05, -0.1j], [0.05, -0.1j]]
+
+    cfg_path.write_text(_example_cfg(phi_list=[0.5], grid_points=64, strategy="explicit",
+                                     explicit_constants=[blocks[0], [[0.0, 0.0, 0.0]]]))
+    bad_dir = tmp_path / "wrong-shape"
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(bad_dir)]) == 2
+    assert "explicit_constants[1] must be 1 x 2 for this problem, got 1 x 3" in capsys.readouterr().err
+    assert not bad_dir.exists()
+
+
+def test_run_removes_partial_files_when_a_write_fails(tmp_path, capsys):
+    # diagnostics.json cannot be opened for writing: both CSVs, written
+    # first, are removed, and the failure is a config error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_example_cfg(phi_list=[0.5], grid_points=64, order=1))
+    out_dir = tmp_path / "partial"
+    (out_dir / "diagnostics.json").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["diagnostics.json"]
+    assert (out_dir / "diagnostics.json").is_dir()
 
 
 def test_diagnostics_grid_rule(tmp_path):
@@ -578,9 +667,9 @@ def test_run_leaves_an_unresolved_winding_unjudged(tmp_path):
                          "m0_spec": {"entries": [[entry, []], [[], entry]]}}}
     cfg = parse_config(json.dumps(config))
     grid = MobiusGrid.build(64)
-    turns, largest = winding(node_det((engine.build_lambda0(rbvp.split_indices((1, 0)), grid)
-                                       + sample(cfg.custom.m0, grid)).samples))
-    assert round(turns) != 1 and largest >= np.pi / 2
+    count, largest, reliable = winding(node_det((engine.build_lambda0(rbvp.split_indices((1, 0)), grid)
+                                                 + sample(cfg.custom.m0, grid)).samples))
+    assert count != 1 and largest >= np.pi / 2 and reliable is False
     run(cfg)
     assert (tmp_path / "u" / "diagnostics.json").exists()
 
@@ -591,8 +680,35 @@ def test_total_index_check_leaves_a_non_finite_determinant_unjudged(monkeypatch)
     grid = MobiusGrid.build(64)
     profile = rbvp.split_indices((1, 0))
     m0 = sample(parse_config(_custom_cfg()).custom.m0, grid)
-    monkeypatch.setattr(cli, "node_det", lambda a: np.full(len(a), complex(np.inf, 0.0)))
-    cli._check_total_index(engine.build_lambda0(profile, grid), m0, profile)
+    monkeypatch.setattr(engine, "node_det", lambda a: np.full(len(a), complex(np.inf, 0.0)))
+    engine.check_total_index(engine.build_lambda0(profile, grid), m0, profile)
+
+
+def test_run_checks_the_total_index_of_every_problem(tmp_path, capsys, monkeypatch):
+    # the example runs the check once per phi, as a custom problem does once;
+    # a ValueError from it is a config error: exit 2 and no file written
+    seen = []
+
+    def counted(lambda0, m0, profile):
+        seen.append(m0.grid.n_points)
+        engine.check_total_index(lambda0, m0, profile)
+    monkeypatch.setattr(cli, "check_total_index", counted)
+    _run_example(tmp_path)
+    assert seen == [256, 256]
+
+    def refused(lambda0, m0, profile):
+        raise ValueError("declared total index refused")
+    monkeypatch.setattr(cli, "check_total_index", refused)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_example_cfg(phi_list=[0.5, 0.25], grid_points=256))
+    out_dir = tmp_path / "refused"
+    cfg = parse_config(cfg_path.read_text())
+    cfg.output_dir = str(out_dir)
+    with pytest.raises(ConfigError, match="declared total index refused"):
+        run(cfg)
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    assert "config error: declared total index refused" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _digests(out_dir):

@@ -179,12 +179,12 @@ def test_step_norms_bounded_by_constant_when_small():
 def test_factor_conditions_report():
     g, res = _example_run(phi=0.1, n_points=1024, order=2)
     rep = engine.check_factor_conditions(res)
+    # the report holds the defects only, and its caller judges them: demo 04
+    # with 1e-8 and 1.0, this test the infinity product with the tighter 0.1
     assert rep.unit_column_defect < 1e-8
-    assert rep.unit_columns_ok
     assert rep.min_abs_det_h_minus > 0.5
     assert rep.min_abs_det_h_plus > 0.5
     assert rep.infinity_product_defect < 0.1
-    assert rep.infinity_product_ok
 
 
 def test_infinity_values_consistent_with_far_evaluation():
@@ -388,6 +388,52 @@ def test_non_finite_density_raises():
         engine.run_factorization(lam0, m0, PROFILE, order=2)
 
 
+def test_refine_check_is_refused_before_any_solve(monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return rbvp.solve_step(*args, **kw)
+    monkeypatch.setattr(engine, "solve_step", counted)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="refine_check must be >= 1"):
+            _example_run(phi=0.1, n_points=256, order=4, refine_check=bad)
+    assert calls == []
+    _example_run(phi=0.1, n_points=256, order=4, refine_check=1)
+    assert len(calls) == 4
+
+
+def test_driver_refuses_non_finite_constants_and_terms(monkeypatch):
+    class NanBlock:
+        def free_block(self, r, remainder, profile, plus_sum):
+            return np.full((1, 2), np.nan if r == 2 else 0.0)
+    with pytest.raises(engine.NumericalError, match="strategy returned non-finite constants at step 2"):
+        _example_run(phi=0.1, n_points=256, order=3, strategy=NanBlock())
+
+    def poisoned(m, kappas, free_block):  # a solve whose N- turns non-finite at step 2
+        step = rbvp.solve_step(m, kappas, free_block)
+        if m.closed_form is None:
+            step.n_minus.data[1, 0, 5] = np.inf
+        return step
+    monkeypatch.setattr(engine, "solve_step", poisoned)
+    with pytest.raises(engine.NumericalError, match="step 2 produced non-finite factor terms"):
+        _example_run(phi=0.1, n_points=256, order=3)
+
+
+def test_check_total_index():
+    # the example family winds once, as indices (1, 0) declare, or its count
+    # is not resolved and left unjudged; diag(w, w) winds twice
+    g = MobiusGrid.build(64)
+    lam0 = engine.build_lambda0(PROFILE, g)
+    for phi in (0.01, 0.1, 1.0, 5.0):
+        engine.check_total_index(lam0, sample(example2x2.build_example(phi).M0, g), PROFILE)
+    twice = ClosedForm([[[], []], [[], [Term((-2j,), (1j, 1.0))]]])  # M0 = diag(0, -2i/(x+i))
+    with pytest.raises(ValueError, match=r"^indices \[1, 0\] declare total index 1, but "
+                       r"det\(Lambda \+ M0\) winds 2 times around 0 on 64 nodes "
+                       r"\(largest phase step 0\.196 rad\)$"):
+        engine.check_total_index(lam0, sample(twice, g), PROFILE)
+
+
 def test_explicit_block_shape_validated():
     g = MobiusGrid.build(256)
     inst = example2x2.build_example(0.1)
@@ -429,12 +475,21 @@ def test_convergence_grid_rule():
     assert engine.convergence_constant(big, 0.5, 1.0) == at_rule
     bare = SampledMatrixFunction.node_last(big.grid, big.data.copy())
     on_own_grid = engine.convergence_constant(bare, 0.5, 1.0)
-    assert on_own_grid.hoelder_norm_N == hoelder_norm(big, 0.5).total
-    assert on_own_grid.hoelder_norm_N != at_rule.hoelder_norm_N
+    assert on_own_grid.hoelder_norm == hoelder_norm(big, 0.5).total
+    assert on_own_grid.hoelder_norm != at_rule.hoelder_norm
     # a shifted M0 at or below the rule keeps its shifted samples
     small = rbvp.shift_density(sample(m0_form, MobiusGrid.build(512)), -1)
-    assert (engine.convergence_constant(small, 0.5, 1.0).hoelder_norm_N
+    assert (engine.convergence_constant(small, 0.5, 1.0).hoelder_norm
             == hoelder_norm(small, 0.5).total)
+
+
+def test_c_mu_lower_bound_caps_its_grid():
+    # a grid of more than C_MU_NODES nodes gives the bound on that many;
+    # a smaller one is used as given
+    assert engine.C_MU_NODES == 1024
+    at_cap = engine.c_mu_lower_bound(MobiusGrid.build(1024), 0.5)
+    assert engine.c_mu_lower_bound(MobiusGrid.build(4096), 0.5) == at_cap
+    assert engine.c_mu_lower_bound(MobiusGrid.build(512), 0.5) != at_cap
 
 
 def test_refined_residual_regimes():

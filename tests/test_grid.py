@@ -288,14 +288,21 @@ def test_winding_counts_powers_of_w(k):
     # w^k winds k times as x runs over the line and back through infinity;
     # its phase steps 2 pi |k| / N between neighbours, across x = inf too
     g = MobiusGrid.build(256)
-    turns, largest = winding(g.w_nodes ** k)
-    assert round(turns) == k and abs(turns - k) < 1e-12
+    count, largest, reliable = winding(g.w_nodes ** k)
+    assert count == k and type(count) is int and reliable is True
     assert largest == pytest.approx(2 * np.pi * abs(k) / 256, abs=1e-12)
     # a loop the nodes do not resolve shows a step of pi/2 or more
-    assert winding(g.w_nodes ** 100)[1] >= np.pi / 2
-    values = g.w_nodes.copy()
+    count, largest, reliable = winding(g.w_nodes ** 100)
+    assert largest >= np.pi / 2 and reliable is False
+    # a non-finite value leaves no count: NaN has no phase, and inf one
+    # that says nothing about the function
+    values = g.w_nodes ** k
     values[7] = np.nan
-    assert all(np.isnan(winding(values)))
+    count, largest, reliable = winding(values)
+    assert count is None and np.isnan(largest) and reliable is False
+    values[7] = np.inf
+    count, largest, reliable = winding(values)
+    assert count is None and np.isfinite(largest) and reliable is False
 
 
 @pytest.mark.parametrize("shape", [(257,), (257, 1, 1), (257, 3, 3)])
