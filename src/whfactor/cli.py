@@ -20,10 +20,11 @@ column constant within a block once per block, the grid's x once per grid).
 One problem path: the example gives a closed-form M0 per phi, a custom
 problem one at the placeholder phi = 0.0. Each is sampled, shifted, checked
 against its declared total index (engine.check_total_index), factored and
-diagnosed; the example adds its first-remainder table. The module reads
-configs and writes files: every diagnostic rule, grid cap included, lives
-in the engine, and the JSON objects of the factor conditions and the
-convergence diagnostics carry their records' own field names.
+diagnosed; the example adds each phi's M1/phi^2 from figure_data. The
+module reads configs and writes files: it owns both tables' headers and
+rows, every diagnostic rule, grid cap included, lives in the engine, and
+the JSON objects of the factor conditions and the convergence diagnostics
+carry their records' own field names.
 """
 
 from __future__ import annotations
@@ -309,6 +310,10 @@ def _write_csv(path, header, blocks):
         fh.writelines(_csv_lines(blocks))
 
 
+_FACTOR_HEADER = ("phi", "x", "component", "p", "q", "re", "im")
+_REMAINDER_HEADER = ("variant", "phi", "x", "p", "q", "re_norm", "im_norm", "abs_norm", "x_abs_norm")
+
+
 def _factor_blocks(results, x_text):
     """factors.csv blocks: one per (phi, component, p, q)."""
     for phi, res, _, _ in results:
@@ -324,12 +329,16 @@ def _factor_blocks(results, x_text):
                     yield _fmt(phi), x_text, name, str(p + 1), str(q + 1), col.real, col.imag
 
 
-def _figure_blocks(rows, x_text):
-    """remainders.csv blocks: one per (phi, p, q) of figure_data's rows, x as text."""
-    for block in rows.reshape(-1, len(x_text), rows.shape[1]):
-        cells = list(block.T)
-        cells[2] = x_text
-        yield cells
+def _remainder_blocks(variant, figures, grid, x_text):
+    """remainders.csv blocks: one per (phi, p, q) of the (phi, M1/phi^2) pairs in figures."""
+    x = grid.x_nodes
+    for phi, scaled in figures:
+        for p in range(2):
+            for q in range(2):
+                col = scaled[p, q]
+                a = np.abs(col)
+                yield (_fmt(variant), _fmt(phi), x_text, str(p + 1), str(q + 1),
+                       col.real, col.imag, a, x * a)
 
 
 def _json_safe(v):
@@ -394,10 +403,10 @@ def run(config: RunConfig) -> dict:
         diag = convergence_constant(m0, config.mu, config.c_mu)
         results.append((phi, res, check_factor_conditions(res), diag))
 
+    figures = []
     if config.problem == "example":
-        _, fig_rows = example2x2.figure_data(config.variant, config.phi_list, grid)
-    else:
-        fig_rows = np.empty((0, len(example2x2.FIGURE_COLUMNS)))
+        figures = list(zip(config.phi_list,
+                           example2x2.figure_data(config.variant, config.phi_list, grid)))
 
     residuals = [res.residual_sup for _, res, _, _ in results]
     ratios = [_json_safe(a / b) if b else None for a, b in zip(residuals, residuals[1:])]
@@ -428,10 +437,10 @@ def run(config: RunConfig) -> dict:
     x_text = _x_text(grid)
     try:
         written.append(factors_path)
-        _write_csv(factors_path, ("phi", "x", "component", "p", "q", "re", "im"),
-                   _factor_blocks(results, x_text))
+        _write_csv(factors_path, _FACTOR_HEADER, _factor_blocks(results, x_text))
         written.append(remainders_path)
-        _write_csv(remainders_path, example2x2.FIGURE_COLUMNS, _figure_blocks(fig_rows, x_text))
+        _write_csv(remainders_path, _REMAINDER_HEADER,
+                   _remainder_blocks(config.variant, figures, grid, x_text))
         written.append(diagnostics_path)
         with open(diagnostics_path, "w", encoding="ascii", newline="\n") as fh:
             json.dump(diagnostics, fh, indent=2, sort_keys=True)
@@ -498,10 +507,11 @@ def _cmd_figures(args) -> int:
     grid = MobiusGrid.build(_require_int(given, "grid_points", None))
     out = _require_output_dir(given, None)
     phis = _parse_phi_args(args.phi)
-    header, rows = example2x2.figure_data(args.variant, phis, grid)
+    figures = list(zip(phis, example2x2.figure_data(args.variant, phis, grid)))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "remainders.csv")
-    _write_csv(path, header, _figure_blocks(rows, _x_text(grid)))
+    _write_csv(path, _REMAINDER_HEADER,
+               _remainder_blocks(args.variant, figures, grid, _x_text(grid)))
     print(f"wrote {path}")
     return 0
 

@@ -314,21 +314,35 @@ class ClosedForm:
     def limit_at_infinity(self) -> np.ndarray:
         """Limit along the real line, entry-wise.
 
-        Raises if some term does not settle (bounded oscillation or growth).
+        A term that decays adds nothing and one that settles its leading
+        ratio. The terms that grow or oscillate are summed per phase over a
+        common denominator, so that ones that cancel are judged together: a
+        sum that decays adds nothing, one that settles at phase 0 adds its
+        leading ratio, and any other raises.
         """
-        n, m = self.shape
-        out = np.zeros((n, m), dtype=complex)
-        for i in range(n):
-            for j in range(m):
-                val = 0j
-                for t in self.entries[i][j]:
-                    dn, dd = len(t.num) - 1, len(t.den) - 1
-                    if dn < dd:
-                        continue
-                    if dn > dd or t.phase != 0.0:
-                        raise ValueError(f"entry ({i},{j}) has no limit at infinity")
-                    val += t.num[-1] / t.den[-1]
-                out[i, j] = val
+        out = np.zeros(self.shape, dtype=complex)
+        with np.errstate(all="ignore"):  # an overflowing sum leaves an inf or nan, judged as any value
+            for i, row in enumerate(self.entries):
+                for j, cell in enumerate(row):
+                    val = 0j
+                    unsettled = {}  # phase -> (numerator, denominator) of its terms' sum
+                    for t in cell:
+                        dn, dd = len(t.num) - 1, len(t.den) - 1
+                        if dn < dd:
+                            continue
+                        if dn == dd and t.phase == 0.0:
+                            val += t.num[-1] / t.den[-1]
+                        else:
+                            num, den = unsettled.get(t.phase, ((0j,), (1 + 0j,)))
+                            num = npoly.polyadd(npoly.polymul(num, t.den), npoly.polymul(t.num, den))
+                            unsettled[t.phase] = (_as_poly(num), _as_poly(npoly.polymul(den, t.den)))
+                    for phase, (num, den) in unsettled.items():
+                        if num == (0j,) or len(num) < len(den):
+                            continue
+                        if len(num) > len(den) or phase != 0.0:
+                            raise ValueError(f"entry ({i},{j}) has no limit at infinity")
+                        val += np.divide(num[-1], den[-1])
+                    out[i, j] = val
         return out
 
     def has_real_pole(self) -> bool:

@@ -16,6 +16,8 @@ infinity, all predicted by M1(inf) = C0^2.
 
 This module is the library's ground truth: closed forms are exact, so the
 quadrature path can be cross-checked against them route by route.
+first_remainder gives M1 with its closed form, and figure_data gives each
+phi's M1/phi^2 as node data; the CLI writes remainders.csv from those.
 """
 
 from __future__ import annotations
@@ -252,33 +254,18 @@ def first_step_factors(instance: ExampleInstance, variant: VariantSpec,
     )
 
 
-FIGURE_COLUMNS = (
-    "variant",
-    "phi",
-    "x",
-    "p",
-    "q",
-    "re_norm",
-    "im_norm",
-    "abs_norm",
-    "x_abs_norm",
-)
-
-
 def first_remainder(variant_id: int, phi: float, grid: MobiusGrid) -> SampledMatrixFunction:
-    """M1 = -N1- N1+ on the grid, carried with its closed form."""
+    """M1 = -N1- N1+ on the grid, with the closed form -(N1-.closed_form @ N1+.closed_form)."""
     sol = first_step_factors(build_example(phi), variant_constant(variant_id, phi), grid)
-    return -(sol.n_minus @ sol.n_plus)
+    m1 = -(sol.n_minus.closed_form @ sol.n_plus.closed_form)
+    return SampledMatrixFunction.node_last(grid, -(sol.n_minus @ sol.n_plus).data, m1)
 
 
-def figure_data(variant: int, phis, grid: MobiusGrid):
-    """Normalized first-remainder table, each phi gated by the route cross-check.
+def figure_data(variant: int, phis, grid: MobiusGrid) -> list:
+    """M1/phi^2 for each phi in turn, as (2, 2, N) node-last arrays.
 
-    Returns (FIGURE_COLUMNS, rows) where each row is
-    (variant, phi, x, p, q, Re m_pq/phi^2, Im m_pq/phi^2, |m_pq|/phi^2,
-    x*|m_pq|/phi^2) with 1-based p, q; rows ordered by phi, then (p, q),
-    then node. Each phi's instance passes _cross_check_routes before its
-    rows are formed; a failed gate raises NumericalError.
+    Each phi's instance passes _cross_check_routes before its M1 is
+    formed; a failed gate raises NumericalError.
     """
     vid = as_integer(variant, "variant")
     phis = [float(p) for p in phis]
@@ -286,31 +273,10 @@ def figure_data(variant: int, phis, grid: MobiusGrid):
         raise ValueError("phis must be nonempty")
     if not all(0 < p < math.inf for p in phis):
         raise ValueError("each phi must be positive and finite")
-    x = grid.x_nodes
-    blocks = []
+    scaled = []
     for phi in phis:
         inst, vs = build_example(phi), variant_constant(vid, phi)
         _cross_check_routes(inst, vs)
         sol = first_step_factors(inst, vs, grid)
-        m1 = -(sol.n_minus @ sol.n_plus)
-        scaled = m1.data / phi**2
-        for p in range(2):
-            for q in range(2):
-                col = scaled[p, q]
-                a = np.abs(col)
-                blocks.append(
-                    np.column_stack(
-                        [
-                            np.full(x.shape, float(vid)),
-                            np.full(x.shape, phi),
-                            x,
-                            np.full(x.shape, float(p + 1)),
-                            np.full(x.shape, float(q + 1)),
-                            col.real,
-                            col.imag,
-                            a,
-                            x * a,
-                        ]
-                    )
-                )
-    return FIGURE_COLUMNS, np.vstack(blocks)
+        scaled.append(-(sol.n_minus @ sol.n_plus).data / phi**2)
+    return scaled

@@ -89,9 +89,10 @@ class SampledMatrixFunction:
     the values of a ClosedForm, is adopted without a copy; any other layout
     is copied once. `node_last` takes the (n, n, N) storage itself.
 
-    closed_form, when present, is a callable z -> values of the same shape; it
-    is carried through the pointwise algebra whenever both operands have one.
-    Instances are treated as immutable.
+    closed_form, when present, is a callable z -> values of the same shape.
+    Only `sample` and `rbvp.shift_density` attach one; the operators +, -,
+    unary -, @ and scalar * are node arithmetic on `data`, and their results
+    carry none. Instances are treated as immutable.
     """
 
     def __init__(self, grid: MobiusGrid, samples, closed_form: Optional[Callable] = None):
@@ -124,34 +125,21 @@ class SampledMatrixFunction:
 
     def __add__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
-        cf = None
-        if self.closed_form is not None and other.closed_form is not None:
-            cf = self.closed_form + other.closed_form
-        return SampledMatrixFunction.node_last(self.grid, self.data + other.data, cf)
+        return SampledMatrixFunction.node_last(self.grid, self.data + other.data)
 
     def __sub__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
-        cf = None
-        if self.closed_form is not None and other.closed_form is not None:
-            cf = self.closed_form - other.closed_form
-        return SampledMatrixFunction.node_last(self.grid, self.data - other.data, cf)
+        return SampledMatrixFunction.node_last(self.grid, self.data - other.data)
 
     def __neg__(self) -> "SampledMatrixFunction":
-        cf = -self.closed_form if self.closed_form is not None else None
-        return SampledMatrixFunction.node_last(self.grid, -self.data, cf)
+        return SampledMatrixFunction.node_last(self.grid, -self.data)
 
     def __matmul__(self, other: "SampledMatrixFunction") -> "SampledMatrixFunction":
         self._check_grid(other)
-        cf = None
-        if self.closed_form is not None and other.closed_form is not None:
-            cf = self.closed_form @ other.closed_form
-        product = _matmul_node_last(self.data, other.data)
-        return SampledMatrixFunction.node_last(self.grid, product, cf)
+        return SampledMatrixFunction.node_last(self.grid, _matmul_node_last(self.data, other.data))
 
     def __mul__(self, c) -> "SampledMatrixFunction":
-        c = complex(c)
-        cf = self.closed_form * c if self.closed_form is not None else None
-        return SampledMatrixFunction.node_last(self.grid, self.data * c, cf)
+        return SampledMatrixFunction.node_last(self.grid, self.data * complex(c))
 
     __rmul__ = __mul__
 

@@ -268,3 +268,10 @@ def test_limit_or_estimate_prefers_closed_form():
     assert np.array_equal(cauchy.limit_or_estimate(oscillating, estimate[:1, :1]), estimate[:1, :1])
     bare = SampledMatrixFunction(g, settling.samples)
     assert np.array_equal(cauchy.limit_or_estimate(bare, estimate), estimate)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, -3.0 + 0j])
+def test_cauchy_off_line_refuses_a_real_z(z):
+    m = sample(ClosedForm.identity(2), MobiusGrid.build(64))
+    with pytest.raises(ValueError, match=r"^z must lie off the real line$"):
+        cauchy.cauchy_off_line(m, z)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -188,6 +189,27 @@ def test_custom_accepts_a_constant_entry(tmp_path):
     assert run(cfg)["residual_sup"][0] < 1e-2
 
 
+def _cancelling_cfg(**over):
+    # M0 = diag(0.01x^2/(x+i) - 0.01x^2/(x+2i), 0.05i e^(ix)/(x+i)): the two
+    # growing terms of entry (0,0) cancel to a limit of 0.01i
+    grow = [{"num": [[0.0, 0.0], [0.0, 0.0], [0.01, 0.0]], "den": [[0.0, 1.0], [1.0, 0.0]]},
+            {"num": [[0.0, 0.0], [0.0, 0.0], [-0.01, 0.0]], "den": [[0.0, 2.0], [1.0, 0.0]]}]
+    data = json.loads(_custom_cfg(order=2, grid_points=256, **over))
+    data["custom"]["m0_spec"]["entries"][0][0] = grow
+    return json.dumps(data)
+
+
+def test_custom_accepts_growing_terms_that_cancel(tmp_path):
+    cfg = parse_config(_cancelling_cfg())
+    assert cfg.custom.m0.limit_at_infinity().tobytes() == np.diag([0.01j, 0.0]).tobytes()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_cancelling_cfg())
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["diagnostics.json", "factors.csv", "remainders.csv"]
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["per_phi"][0]["residual_sup"] < 1e-4
+
+
 def test_custom_rejects_real_pole():
     spec = {"entries": [[[{"num": [[1.0, 0.0]], "den": [[0.0, 0.0], [1.0, 0.0]]}],
                          [{"num": [[0.0, 0.0]]}]],
@@ -221,6 +243,9 @@ def test_extreme_denominators_parse_without_warnings(den, real_pole):
             assert parse_config(json.dumps(data)).custom.m0.shape == (2, 2)
 
 
+_REMAINDER_HEADER = "variant,phi,x,p,q,re_norm,im_norm,abs_norm,x_abs_norm"
+
+
 def _run_example(tmp_path, subdir="out", **over):
     cfg = parse_config(_example_cfg(phi_list=[0.5, 0.25], grid_points=256,
                                     order=2, **over))
@@ -237,8 +262,14 @@ def test_run_example_outputs(tmp_path):
     first = factors[1].split(",")
     assert first[0] == "0.5" and first[2] == "h_minus" and first[3] == "1" and first[4] == "1"
     remainders = (tmp_path / "out" / "remainders.csv").read_text().splitlines()
-    assert remainders[0] == ",".join(example2x2.FIGURE_COLUMNS)
+    assert remainders[0] == _REMAINDER_HEADER
     assert len(remainders) == 1 + phis * 4 * n
+    # blocks by phi, then (p, q) row-major with 1-based labels, x ascending in each
+    rows = [line.split(",") for line in remainders[1:]]
+    assert [(r[0], r[1], r[3], r[4]) for r in rows[::n]] == [
+        ("1", phi, p, q) for phi in ("0.5", "0.25") for p in "12" for q in "12"]
+    assert np.all(np.diff([float(r[2]) for r in rows[:n]]) > 0)
+    assert [r[2] for r in rows[:n]] == [r[2] for r in rows[n:2 * n]]
 
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["problem"] == "example" and diag["variant"] == 1
@@ -344,7 +375,7 @@ def test_run_custom_problem(tmp_path):
     summary = run(cfg)
     # no example figure table for a custom problem: header only
     remainders = (tmp_path / "c" / "remainders.csv").read_text().splitlines()
-    assert remainders == [",".join(example2x2.FIGURE_COLUMNS)]
+    assert remainders == [_REMAINDER_HEADER]
     diag = json.loads((tmp_path / "c" / "diagnostics.json").read_text())
     assert diag["problem"] == "custom" and diag["variant"] is None
     assert diag["per_phi"][0]["phi"] == 0.0  # placeholder for a custom run
@@ -514,7 +545,7 @@ def test_main_figures_subcommand(tmp_path, capsys):
     assert rc == 0
     assert "wrote " in capsys.readouterr().out
     lines = (tmp_path / "f" / "remainders.csv").read_text().splitlines()
-    assert lines[0] == ",".join(example2x2.FIGURE_COLUMNS)
+    assert lines[0] == _REMAINDER_HEADER
     assert len(lines) == 1 + 2 * 4 * 64
     assert main(["figures", "--variant", "2", "--phi", "-1",
                  "--output-dir", str(tmp_path / "g")]) == 2
@@ -626,6 +657,28 @@ _GOLDEN_DIGESTS = {
         "diagnostics.json": "b433af0eb424874b43e969ed98cdc44b45c2f731d1157a1a78221a6d20715ae2",
     },
 }
+
+
+# sha256 of remainders.csv from `whfactor figures --variant V --phi 0.2 0.1
+# --grid-points 256`, one per variant. Recorded while figure_data still
+# returned one row table that the CLI cut back into blocks; writing each
+# block from its phi's first remainder moved no byte.
+_FIGURES_DIGESTS = {
+    0: "b1def5bfa2de52e8a875106de09c46552a64cab58e38f49d33c62b70a0c06f99",
+    1: "d58b7cf588d41d0b04d30cd11932e4bdf1c5f591248a9a7ba22d7829a9bdc3f4",
+    2: "f3cbb5340a4166d6cdf014098226a47b9a6591b52aa6ab6886daea703db87c15",
+    3: "a73e2c29af0fcaa8a1d56ee252717b98261ef57e456f34ee40f5fdc16dbdcf5b",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_FIGURES_DIGESTS))
+def test_figures_match_golden_digests(tmp_path, variant):
+    # phis 0.2 and 0.1 are route-checked by other tests as well: the check's
+    # per-phi cache runs it once for all of them
+    assert main(["figures", "--variant", str(variant), "--phi", "0.2", "0.1",
+                 "--grid-points", "256", "--output-dir", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "remainders.csv").read_bytes()).hexdigest()
+    assert got == _FIGURES_DIGESTS[variant]
 
 
 def test_run_rejects_indices_the_winding_contradicts(tmp_path, capsys):
@@ -745,3 +798,31 @@ def test_run_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         cfg.output_dir = str(tmp_path / "here" / name)
         run(cfg)
         assert _digests(tmp_path / "prescott" / name) == _digests(tmp_path / "here" / name), name
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # a normalization: the empty piece of a --phi value is skipped
+        pytest.param(lambda: cli._parse_phi_args(["0.5,,0.25"]), [0.5, 0.25], id="phi-empty-piece"),
+        # refusals: the call raises the expected type with the expected message
+        pytest.param(lambda: parse_config(_example_cfg(mu=10**400)),
+                     ConfigError("mu must be finite, got inf"), id="mu-400-digits"),
+        pytest.param(lambda: parse_config(_custom_cfg(custom=[1])),
+                     ConfigError("custom must be an object with indices, lambda_s, m0_spec"),
+                     id="custom-not-object"),
+        pytest.param(lambda: parse_config(_custom_cfg(custom={"indices": [1, 0], "lambda_s": 0.5,
+                                                              "m0_spec": _custom_m0_spec()})),
+                     ConfigError("lambda_s must be an integer"), id="lambda-s-not-integer"),
+        pytest.param(lambda: cli._parse_phi_args(["abc"]), ConfigError("phi: could not parse 'abc'"),
+                     id="phi-abc"),
+        pytest.param(lambda: cli._parse_phi_args([","]), ConfigError("phi: need at least one value"),
+                     id="phi-comma"),
+    ],
+)
+def test_cli_input_refusals_and_normalizations(call, expected):
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+        call()

@@ -733,3 +733,42 @@ def test_check_lambda0_off_diagonal_tolerance():
         else:
             with pytest.raises(ValueError, match=re.escape("entry (0, 1)")):
                 engine._check_lambda0(lam, PROFILE.shifted_kappas())
+
+
+def _run_64(order=1, profile=PROFILE, m0_form=None, lambda0_points=64):
+    grid = MobiusGrid.build(64)
+    m0 = sample(m0_form or example2x2.build_example(0.2).M0, grid)
+    lambda0 = engine.build_lambda0(PROFILE, MobiusGrid.build(lambda0_points))
+    return engine.run_factorization(lambda0, m0, profile, order)
+
+
+def _index_tuple_is_coerced():
+    got, want = _run_64(profile=(1, 0)), _run_64()
+    return got.profile == PROFILE and got.h_minus.data.tobytes() == want.h_minus.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # a normalization: the call returns the expected value
+        pytest.param(_index_tuple_is_coerced, True, id="run-index-tuple-coerced"),
+        # refusals: the call raises the expected type with the expected message
+        pytest.param(lambda: engine.ExplicitConstants([]),
+                     ValueError("explicit strategy needs at least one constant block"),
+                     id="explicit-no-blocks"),
+        pytest.param(lambda: engine.alpha_coefficients(0), ValueError("r_max must be >= 1"),
+                     id="alpha-0"),
+        pytest.param(lambda: _run_64(order=0), ValueError("order must be >= 1"), id="run-order-0"),
+        pytest.param(lambda: _run_64(m0_form=ClosedForm.identity(3)),
+                     ValueError("m0 must be 2 x 2 for this profile"), id="run-m0-wrong-size"),
+        pytest.param(lambda: _run_64(lambda0_points=128),
+                     ValueError("lambda0 must match m0's grid and dimensions"),
+                     id="run-lambda0-other-grid"),
+    ],
+)
+def test_engine_input_refusals_and_normalizations(call, expected):
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+        call()

@@ -1,10 +1,12 @@
 """Closed-form terms: rational-times-exponential algebra and limits."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from whfactor.evaluators import ClosedForm, Term
+from whfactor.evaluators import ClosedForm, Term, _as_poly
 from whfactor.example2x2 import build_example, variant_constant
 from whfactor.grid import MobiusGrid
 
@@ -92,6 +94,23 @@ def test_limit_at_infinity_cases():
     growing = ClosedForm([[(Term((0.0, 1.0)),)]])
     with pytest.raises(ValueError, match="no limit"):
         growing.limit_at_infinity()
+
+
+def test_limit_judges_growing_and_oscillating_terms_together():
+    # x^2/(x+i) - x^2/(x+2i) = i x^2 / ((x+i)(x+2i)) tends to i, though each term grows
+    cancel = ClosedForm([[(Term((0, 0, 1), (1j, 1)), Term((0, 0, -1), (2j, 1)))]])
+    assert cancel.limit_at_infinity().tobytes() == np.array([[1j]]).tobytes()
+    # x^2/(x+i) - 2x^2/(x+2i) still grows, and 0.01 e^(ix) still oscillates
+    for terms in ((Term((0, 0, 1), (1j, 1)), Term((0, 0, -2), (2j, 1))),
+                  (Term((0.01,), phase=1.0),)):
+        with pytest.raises(ValueError, match=r"^entry \(0,0\) has no limit at infinity$"):
+            ClosedForm([[terms]]).limit_at_infinity()
+    # e^(ix) x/(x+i) - e^(ix) x/(x+2i) = i x e^(ix) / ((x+i)(x+2i)) decays
+    decaying = ClosedForm([[(Term((0, 1), (1j, 1), 1.0), Term((0, -1), (2j, 1), 1.0))]])
+    assert decaying.limit_at_infinity().tobytes() == np.zeros((1, 1), dtype=complex).tobytes()
+    # a term that settles keeps its own ratio beside the cancelling pair
+    settled = ClosedForm([[cancel.entries[0][0] + (Term((1.0, 2.0), (3.0, 4.0)),)]])
+    assert settled.limit_at_infinity()[0, 0] == 0.5 + 1j
 
 
 def test_limit_sums_terms():
@@ -242,3 +261,37 @@ def test_each_entry_has_the_bits_of_its_own_evaluation():
                 for j in range(m):
                     alone = ClosedForm([[cf.entries[i][j]]])(pts)[..., 0, 0]
                     assert whole[..., i, j].tobytes() == alone.tobytes(), (i, j)
+
+
+_CF = ClosedForm([[(Term((1.0,), (1j, 1.0), 0.5),)]])
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # normalizations: the call returns the expected value
+        pytest.param(lambda: _as_poly([1.0, 2j, 0.0, 0j]), (1 + 0j, 2j), id="as-poly-trailing-zeros"),
+        pytest.param(lambda: _as_poly([]), (0j,), id="as-poly-empty"),
+        pytest.param(lambda: _CF.mobius_scale(0) is _CF, True, id="mobius-scale-0-is-self"),
+        # refusals: the call raises the expected type with the expected message
+        pytest.param(lambda: Term((1.0,), (0.0, 0j)),
+                     ValueError("term denominator is identically zero"), id="zero-denominator"),
+        pytest.param(lambda: ClosedForm([[(), ()], [()]]), ValueError("ragged entry table"),
+                     id="ragged-table"),
+        pytest.param(lambda: ClosedForm.identity(2) + ClosedForm.identity(3),
+                     ValueError("shape mismatch (2, 2) vs (3, 3)"), id="add-shape-mismatch"),
+        pytest.param(lambda: ClosedForm.identity(2) @ ClosedForm.identity(3),
+                     ValueError("matmul shape mismatch (2, 2) vs (3, 3)"), id="matmul-shape-mismatch"),
+        pytest.param(lambda: ClosedForm.from_dict({"entries": [[[7]]]}),
+                     TypeError("term must be an object, got 7"), id="from-dict-term-not-object"),
+        pytest.param(lambda: ClosedForm.from_dict({"entries": [[[]]], "shape": [2, 2]}),
+                     ValueError("declared shape does not match entry table"),
+                     id="from-dict-shape-mismatch"),
+    ],
+)
+def test_evaluators_input_refusals_and_normalizations(call, expected):
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+        call()

@@ -397,26 +397,15 @@ def test_route_cross_check_passes_known_kappas(monkeypatch):
     assert example2x2._checked_phis == {0.31, 0.17}
 
 
-def test_figure_data_table():
+def test_figure_data_is_each_first_remainder_over_phi_squared():
     g = MobiusGrid.build(64)
     phis = [0.3, 0.1]
-    cols, rows = example2x2.figure_data(1, phis, g)
-    assert cols == example2x2.FIGURE_COLUMNS
-    assert rows.shape == (len(phis) * 4 * g.n_points, len(cols))
-    # ordering: phi blocks, then (p, q) row-major with 1-based labels
-    n = g.n_points
-    assert np.all(rows[: 4 * n, 1] == 0.3) and np.all(rows[4 * n :, 1] == 0.1)
-    first = rows[:n]
-    assert np.all(first[:, 3] == 1.0) and np.all(first[:, 4] == 1.0)
-    assert np.all(np.diff(first[:, 2]) > 0)  # x ascending within a block
-    assert np.all(rows[:, 0] == 1.0)
-    # numeric content against a direct recomputation
-    m1 = example2x2.first_remainder(1, 0.3, g)
-    scaled = m1.samples[:, 0, 0] / 0.3**2
-    assert np.allclose(first[:, 5], scaled.real, atol=1e-13)
-    assert np.allclose(first[:, 6], scaled.imag, atol=1e-13)
-    assert np.allclose(first[:, 7], np.abs(scaled), atol=1e-13)
-    assert np.allclose(first[:, 8], g.x_nodes * np.abs(scaled), atol=1e-12)
+    scaled = example2x2.figure_data(1, phis, g)
+    assert len(scaled) == len(phis)
+    for phi, got in zip(phis, scaled):
+        want = example2x2.first_remainder(1, phi, g).data / phi**2
+        assert got.shape == (2, 2, g.n_points) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         example2x2.figure_data(1, [], g)
     with pytest.raises(ValueError):

@@ -1,13 +1,18 @@
 """Grid construction, Moebius maps, sampled-matrix algebra, norms."""
 
+import re
+
 import numpy as np
 import pytest
 
+from whfactor import rbvp
+from whfactor.engine import build_lambda0
 from whfactor.evaluators import ClosedForm, Term
 from whfactor.grid import (
     HoelderEstimate,
     MobiusGrid,
     SampledMatrixFunction,
+    _matmul_node_last,
     as_integer,
     hoelder_norm,
     matrix_norm,
@@ -16,6 +21,7 @@ from whfactor.grid import (
     node_det,
     node_matmul,
     node_sum,
+    node_values,
     sample,
     sup_norm,
     winding,
@@ -109,18 +115,27 @@ def test_algebra_rejects_mismatched_grids():
         a + c
 
 
-def test_closed_form_carried_through_algebra():
+def test_algebra_is_node_arithmetic_without_a_closed_form():
+    # every operator's result holds the bits of the node arithmetic and no
+    # closed form, whatever its operands carry: a ClosedForm, a plain
+    # callable or none
     g = MobiusGrid.build(64)
-    cf = ClosedForm.constant(np.array([[1.0, 0.5], [0.0, 2.0]]))
-    a = sample(cf, g)
-    b = sample(cf, g)
-    assert (a + b).closed_form is not None
-    assert (a @ b).closed_form is not None
-    z = np.array([0.3, -2.0])
-    assert np.allclose((a @ b).closed_form(z), cf(z) @ cf(z))
-    # dropping a closed form on one operand drops it on the result
+    a = sample(ClosedForm.constant(np.array([[1.0, 0.5], [0.0, 2.0]])), g)
+    b = sample(lambda x: np.moveaxis(np.array([[np.exp(1j * x), x / (x + 1j)],
+                                               [1 / (x + 2j), np.cos(x) + 0j]]), -1, 0), g)
     bare = SampledMatrixFunction(g, b.samples)
-    assert (a + bare).closed_form is None
+    for left, right in ((a, b), (b, a), (a, a), (a, bare)):
+        for got, want in ((left + right, left.data + right.data),
+                          (left - right, left.data - right.data),
+                          (-right, -right.data),
+                          (left @ right, _matmul_node_last(left.data, right.data)),
+                          (right * 2.5j, right.data * 2.5j),
+                          (2.5j * right, right.data * 2.5j)):
+            assert got.closed_form is None and got.grid is g
+            assert got.data.flags.c_contiguous and got.data.tobytes() == want.tobytes()
+    profile = rbvp.split_indices((1, 0))
+    product = b @ build_lambda0(profile, g)
+    assert np.allclose(product.samples, b.samples @ build_lambda0(profile, g).samples)
 
 
 def test_sample_validates_finiteness():
@@ -315,3 +330,34 @@ def test_node_sum_matches_tensordot(shape):
     np.testing.assert_allclose(got, np.tensordot(w, s, axes=(0, 0)), rtol=1e-14, atol=0)
     with pytest.raises(ValueError):
         node_sum(w[1:], s)
+
+
+def _smf_64(samples):
+    return SampledMatrixFunction(MobiusGrid.build(64), samples)
+
+
+def _node_values_64(values):
+    return node_values(lambda x: values(len(x)), MobiusGrid.build(64))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: _smf_64(np.zeros((63, 2, 2))), ValueError,
+                     "samples must be (N, n, n) with N = 64", id="wrong-node-count"),
+        pytest.param(lambda: _smf_64(np.zeros((64, 2, 3))), ValueError,
+                     "matrix samples must be square", id="not-square"),
+        pytest.param(lambda: _node_values_64(lambda n: np.zeros((n, 2))), ValueError,
+                     "evaluator must return (N, n, n) matrices on the node set",
+                     id="node-values-wrong-shape"),
+        pytest.param(lambda: _node_values_64(lambda n: np.zeros((n, 2, 3))), ValueError,
+                     "matrix samples must be square", id="node-values-not-square"),
+        pytest.param(lambda: hoelder_norm(_smf_64(np.zeros((64, 2, 2))), 0.0), ValueError,
+                     "mu must lie in (0, 1]", id="hoelder-mu-0"),
+        pytest.param(lambda: hoelder_norm(_smf_64(np.zeros((64, 2, 2))), 1.5), ValueError,
+                     "mu must lie in (0, 1]", id="hoelder-mu-1.5"),
+    ],
+)
+def test_grid_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
