@@ -16,8 +16,11 @@ infinity, all predicted by M1(inf) = C0^2.
 
 This module is the library's ground truth: closed forms are exact, so the
 quadrature path can be cross-checked against them route by route.
-first_remainder gives M1 with its closed form, and figure_data gives each
-phi's M1/phi^2 as node data; the CLI writes remainders.csv from those.
+first_step_factors samples the exact split (N1+, N1-) with its closed
+forms, first_remainder gives M1 with its closed form, and figure_data gives
+each phi's M1/phi^2 as node data; the CLI writes remainders.csv from those.
+Only the route check forms the split's canonical-frame constant
+E = C0 - psi*B0 and runs the step solver.
 """
 
 from __future__ import annotations
@@ -223,42 +226,29 @@ def _cross_check_routes(instance: ExampleInstance, variant: VariantSpec) -> None
 
 
 def first_step_factors(instance: ExampleInstance, variant: VariantSpec,
-                       grid: MobiusGrid) -> rbvp.Step:
-    """First factor terms from the closed-form split, sampled on grid.
+                       grid: MobiusGrid) -> tuple:
+    """The exact first split (N1+, N1-) with constant C0, sampled on grid.
 
-    Only closed forms are evaluated: N1+ and N1- are the exact split with
-    constant C0, and the step carries the equivalent canonical free
-    constant E = C0 - psi*B0 (first row zero by the shared-row structure).
-    Infinity data on the returned step is exact. The quadrature solver is
-    checked against this split by _cross_check_routes, which figure_data
-    runs for every phi.
+    N1+ = (Lambda0+)^(-1) (M0+ - C0) and N1- = M0- + C0, each sampled from
+    its own closed form and carrying it; nothing else is evaluated, and no
+    solver runs. The quadrature solver is checked against this split by
+    _cross_check_routes, which figure_data runs for every phi.
     """
     if not math.isclose(instance.phi, variant.phi, rel_tol=0.0, abs_tol=1e-14):
         raise ValueError(
             f"instance (phi={instance.phi}) and variant (phi={variant.phi}) disagree"
         )
-    c0 = variant.c0
-    psi_b0 = (instance.psi * B_MATRICES[0]).astype(complex)
-    e_full = c0 - psi_b0  # canonical-frame constant; row 0 is exactly zero
-
-    n1p_cf = ClosedForm.mobius_power_diag((-1, 0)) @ (instance.M0_plus - ClosedForm.constant(c0))
-    n1m_cf = instance.M0_minus + ClosedForm.constant(c0)
-    return rbvp.Step(
-        n_plus=sample(n1p_cf, grid),
-        n_minus=sample(n1m_cf, grid),
-        constant=e_full,
-        kappas=_KAPPAS.copy(),
-        c0=sample(instance.M0, grid).data.mean(axis=-1),
-        plus_sum=-psi_b0,  # exact plus-part value at infinity of the split density
-        limit=np.zeros((2, 2), dtype=complex),
-    )
+    c0 = ClosedForm.constant(variant.c0)
+    n_plus = sample(ClosedForm.mobius_power_diag((-1, 0)) @ (instance.M0_plus - c0), grid)
+    n_minus = sample(instance.M0_minus + c0, grid)
+    return n_plus, n_minus
 
 
 def first_remainder(variant_id: int, phi: float, grid: MobiusGrid) -> SampledMatrixFunction:
     """M1 = -N1- N1+ on the grid, with the closed form -(N1-.closed_form @ N1+.closed_form)."""
-    sol = first_step_factors(build_example(phi), variant_constant(variant_id, phi), grid)
-    m1 = -(sol.n_minus.closed_form @ sol.n_plus.closed_form)
-    return SampledMatrixFunction.node_last(grid, -(sol.n_minus @ sol.n_plus).data, m1)
+    n_plus, n_minus = first_step_factors(build_example(phi), variant_constant(variant_id, phi), grid)
+    m1 = -(n_minus.closed_form @ n_plus.closed_form)
+    return SampledMatrixFunction.node_last(grid, -(n_minus @ n_plus).data, m1)
 
 
 def figure_data(variant: int, phis, grid: MobiusGrid) -> list:
@@ -277,6 +267,6 @@ def figure_data(variant: int, phis, grid: MobiusGrid) -> list:
     for phi in phis:
         inst, vs = build_example(phi), variant_constant(vid, phi)
         _cross_check_routes(inst, vs)
-        sol = first_step_factors(inst, vs, grid)
-        scaled.append(-(sol.n_minus @ sol.n_plus).data / phi**2)
+        n_plus, n_minus = first_step_factors(inst, vs, grid)
+        scaled.append(-(n_minus @ n_plus).data / phi**2)
     return scaled

@@ -27,22 +27,6 @@ def as_integer(v, name: str) -> int:
     return i
 
 
-def mobius_forward(x):
-    """(x-i)/(x+i), real line to unit circle. Preserves extended precision."""
-    x = np.asanyarray(x)
-    return (x - 1j) / (x + 1j)
-
-
-def mobius_inverse(w):
-    """i(1+w)/(1-w), unit circle (w != 1) back to the real line."""
-    w = np.asanyarray(w)
-    return 1j * (1 + w) / (1 - w)
-
-
-def _midpoint_angles(n: int) -> np.ndarray:
-    return (2 * np.arange(n) + 1) * np.pi / n
-
-
 @dataclass(frozen=True, eq=False)
 class MobiusGrid:
     n_points: int
@@ -54,26 +38,16 @@ class MobiusGrid:
         n = as_integer(n_points, "n_points")
         if n < 4:
             raise ValueError("n_points must be at least 4")
-        theta = _midpoint_angles(n)
+        theta = (2 * np.arange(n) + 1) * np.pi / n
         w = np.exp(1j * theta)
         # x = -cot(theta/2); monotone increasing, exact +/- pairing for even n
         x = -np.cos(theta / 2) / np.sin(theta / 2)
         return cls(n, w, x)
 
-    @property
-    def theta_nodes(self) -> np.ndarray:
-        """The midpoint angles (2j+1) pi / n of the nodes, computed anew on each read."""
-        return _midpoint_angles(self.n_points)
-
     def spacing_at(self, x) -> np.ndarray:
         """Local node spacing on the line, pi*(1+x^2)/n."""
         x = np.asanyarray(x)
         return np.pi * (1 + x**2) / self.n_points
-
-    @staticmethod
-    def extreme_x(n_points: int) -> float:
-        """Largest |x| node of an n-point grid, cot(pi/(2n)), without building it."""
-        return 1.0 / np.tan(np.pi / (2 * int(n_points)))
 
 
 class SampledMatrixFunction:

@@ -86,12 +86,13 @@ class Step:
     the M solved. The record holds no M: N+ has only modes p >= 0 on the
     grid and N- only modes p <= 0, so each continues off the line from its
     own samples, N+(z) = Omega0[N+](z) + (its zero mode) and
-    N-(z) = -Omega0[N-](z). plus_sum (sum_{p>0} c_p) and limit (M at
-    x = infinity) are set by whoever builds the step: solve_step takes
-    them from its forward FFT when a function chose the block and leaves
-    both None for a plain block. The driver replaces a remainder's limit
-    by the value propagated from M0's. r and sup_remainder (sup |M|) are
-    set by the driver; they stay None on a step solved outside it.
+    N-(z) = -Omega0[N-](z). solve_step is the library's one builder of a
+    Step. It takes plus_sum (sum_{p>0} c_p) and limit (M at x = infinity)
+    from its forward FFT when a function chose the block, and leaves both
+    None for a plain block; c_total and the values at infinity then raise
+    a ValueError. The driver replaces a remainder's limit by the value
+    propagated from M0's. r and sup_remainder (sup |M|) are set by the
+    driver; they stay None on a step solved outside it.
     """
 
     def __init__(self, n_plus: SampledMatrixFunction, n_minus: SampledMatrixFunction,
@@ -107,9 +108,15 @@ class Step:
         """The step itself: the benchmark's output check reads `step.solution.n_plus`."""
         return self
 
+    def _plus_sum(self) -> np.ndarray:
+        if self.plus_sum is None:
+            raise ValueError("the step was solved with a plain free block, "
+                             "so it carries no plus-sum or limit")
+        return self.plus_sum
+
     @property
     def c_total(self) -> np.ndarray:
-        return self.constant - self.plus_sum
+        return self.constant - self._plus_sum()
 
     @property
     def sup_n_plus(self) -> float:
@@ -130,10 +137,10 @@ class Step:
         return -cauchy.cauchy_off_line(self.n_minus, z)
 
     def plus_at_infinity(self) -> np.ndarray:
-        return self.plus_sum - self.constant
+        return self._plus_sum() - self.constant
 
     def minus_at_infinity(self) -> np.ndarray:
-        return self.limit + self.c_total
+        return self.c_total + self.limit
 
 
 def _in_half_plane(z: complex, upper: bool) -> complex:

@@ -202,10 +202,10 @@ def test_criterion_08_variant_comparisons():
     ok_ratio = 5.0 <= inf_ratio <= 20.0
 
     inst = example2x2.build_example(phi)
-    sols = {vid: example2x2.first_step_factors(inst, example2x2.variant_constant(vid, phi), g)
-            for vid in (0, 1)}
-    gap_p = abs(np.abs(sols[0].n_plus.samples).max() - np.abs(sols[1].n_plus.samples).max())
-    gap_m = abs(np.abs(sols[0].n_minus.samples).max() - np.abs(sols[1].n_minus.samples).max())
+    (plus0, minus0), (plus1, minus1) = (
+        example2x2.first_step_factors(inst, example2x2.variant_constant(vid, phi), g) for vid in (0, 1))
+    gap_p = abs(np.abs(plus0.samples).max() - np.abs(plus1.samples).max())
+    gap_m = abs(np.abs(minus0.samples).max() - np.abs(minus1.samples).max())
     ok_sups = gap_p < 1e-8 and gap_m < 1e-8
 
     g3 = MobiusGrid.build(8192)

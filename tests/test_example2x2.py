@@ -82,22 +82,24 @@ def test_first_step_factors_structure():
     inst = example2x2.build_example(phi)
     vs = example2x2.variant_constant(2, phi)
     g = MobiusGrid.build(1024)
-    sol = example2x2.first_step_factors(inst, vs, g)
+    n_plus, n_minus = example2x2.first_step_factors(inst, vs, g)
     psi = inst.psi
-    assert list(sol.kappas) == [1, 0]
-    # the canonical-frame constant has an exactly zero forced row
-    assert np.abs(sol.constant[0]).max() == 0.0
-    assert np.allclose(sol.constant, vs.c0 - psi * example2x2.B_MATRICES[0], atol=1e-15)
-    assert np.allclose(sol.plus_sum, -psi * example2x2.B_MATRICES[0], atol=1e-15)
-    assert np.abs(sol.limit).max() == 0.0
+    psi_b0 = psi * example2x2.B_MATRICES[0]
     # boundary identity diag(w,1) N1+ + N1- = M0 at every node
     lam = sample(inst.Lambda0, g).samples
-    m0 = sample(inst.M0, g).samples
-    defect = lam @ sol.n_plus.samples + sol.n_minus.samples - m0
+    m0 = sample(inst.M0, g)
+    defect = lam @ n_plus.samples + n_minus.samples - m0.samples
     assert np.abs(defect).max() < 1e-13
     # closed-form limits: N1+(inf) = -C0, N1-(inf) = C0
-    assert np.allclose(sol.n_plus.closed_form.limit_at_infinity(), -vs.c0, atol=1e-13)
-    assert np.allclose(sol.n_minus.closed_form.limit_at_infinity(), vs.c0, atol=1e-13)
+    assert np.allclose(n_plus.closed_form.limit_at_infinity(), -vs.c0, atol=1e-13)
+    assert np.allclose(n_minus.closed_form.limit_at_infinity(), vs.c0, atol=1e-13)
+    # the split as a step: the canonical-frame constant E = C0 - psi*B0 has
+    # an exactly zero forced row, the split density's plus part is -psi*B0
+    # at infinity, and M0 vanishes there
+    e_full = vs.c0 - psi_b0
+    assert np.abs(e_full[0]).max() == 0.0
+    sol = rbvp.Step(n_plus, n_minus, e_full, np.array([1, 0]), m0.data.mean(axis=-1),
+                    plus_sum=-psi_b0, limit=np.zeros((2, 2), dtype=complex))
     # infinity data from the step's exact plus-sum and limit: the pair
     # cancels, and N1+(inf) = -C0, N1-(inf) = C0
     inf_p = sol.plus_at_infinity()
@@ -157,9 +159,32 @@ def test_closed_form_oracle_runs_no_solver(monkeypatch):
 
     monkeypatch.setattr(rbvp, "solve_step", explode)
     g = MobiusGrid.build(64)
-    example2x2.first_step_factors(example2x2.build_example(phi), example2x2.variant_constant(1, phi), g)
+    n_plus, n_minus = example2x2.first_step_factors(
+        example2x2.build_example(phi), example2x2.variant_constant(1, phi), g)
+    assert n_plus.grid is g and n_minus.grid is g
     example2x2.first_remainder(2, phi, g)
     assert phi not in example2x2._checked_phis
+
+
+def test_closed_form_oracle_samples_only_the_split(monkeypatch):
+    # the oracle evaluates N1+ and N1- once each, on the caller's grid, and
+    # never M0: each factor carries the closed form it was sampled from
+    phi = 0.19
+    inst = example2x2.build_example(phi)
+    g = MobiusGrid.build(128)
+    calls = []
+    real_call = ClosedForm.__call__
+
+    def counting_call(self, z):
+        calls.append((self, np.array(z)))
+        return real_call(self, z)
+
+    monkeypatch.setattr(ClosedForm, "__call__", counting_call)
+    n_plus, n_minus = example2x2.first_step_factors(inst, example2x2.variant_constant(3, phi), g)
+    assert len(calls) == 2
+    assert calls[0][0] is n_plus.closed_form and calls[1][0] is n_minus.closed_form
+    for _, z in calls:
+        np.testing.assert_array_equal(z, g.x_nodes)
 
 
 def _no_route_check(*a, **k):

@@ -1,4 +1,4 @@
-"""Grid construction, Moebius maps, sampled-matrix algebra, norms."""
+"""Grid construction, the Moebius map of its nodes, sampled-matrix algebra, norms."""
 
 import re
 
@@ -16,8 +16,6 @@ from whfactor.grid import (
     as_integer,
     hoelder_norm,
     matrix_norm,
-    mobius_forward,
-    mobius_inverse,
     node_det,
     node_matmul,
     node_sum,
@@ -31,8 +29,9 @@ from whfactor.grid import (
 def test_nodes_are_midpoints_on_circle():
     g = MobiusGrid.build(64)
     assert g.n_points == 64
+    # the nodes sit at the midpoint angles (2j+1) pi / n, in order
     expected = (2 * np.arange(64) + 1) * np.pi / 64
-    assert np.allclose(g.theta_nodes, expected)
+    assert np.allclose(np.angle(g.w_nodes) % (2 * np.pi), expected)
     assert np.allclose(np.abs(g.w_nodes), 1.0, atol=1e-15)
     # w = 1 (the image of infinity) is never a node
     assert np.abs(g.w_nodes - 1.0).min() > 1e-3
@@ -62,23 +61,24 @@ def test_x_nodes_monotone_and_paired():
 
 
 def test_extreme_x_matches_built_grid():
+    # the largest |x| node of an n-point grid is cot(pi/(2n))
     for n in (64, 2048):
         g = MobiusGrid.build(n)
-        assert np.isclose(np.abs(g.x_nodes).max(), MobiusGrid.extreme_x(n), rtol=1e-12)
+        assert np.isclose(np.abs(g.x_nodes).max(), 1.0 / np.tan(np.pi / (2 * n)), rtol=1e-12)
 
 
 def test_mobius_round_trip():
-    rng = np.random.default_rng(7)
-    x = rng.standard_cauchy(200)
-    w = mobius_forward(x)
+    # w = (x-i)/(x+i) on the unit circle, and x = i(1+w)/(1-w) back
+    g = MobiusGrid.build(200)
+    x, w = g.x_nodes, g.w_nodes
     assert np.allclose(np.abs(w), 1.0, atol=1e-12)
-    back = mobius_inverse(w)
+    back = 1j * (1 + w) / (1 - w)
     assert np.allclose(back, x, rtol=1e-7, atol=1e-9)
 
 
 def test_forward_matches_grid_nodes():
     g = MobiusGrid.build(256)
-    assert np.allclose(mobius_forward(g.x_nodes), g.w_nodes, atol=1e-9)
+    assert np.allclose((g.x_nodes - 1j) / (g.x_nodes + 1j), g.w_nodes, atol=1e-9)
 
 
 def test_spacing_formula():

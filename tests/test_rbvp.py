@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from whfactor import cauchy, engine, rbvp
+from whfactor import cauchy, engine, example2x2, rbvp
 from whfactor.evaluators import ClosedForm, Term
 from whfactor.grid import MobiusGrid, SampledMatrixFunction, sample
 
@@ -244,6 +244,16 @@ def test_a_plain_block_step_carries_no_mode_sums(n, n_points, form):
     for name in ("n_plus", "n_minus"):
         assert _same_bytes(getattr(plain, name).data, getattr(eager, name).data), name
     assert plain.plus_sum is None and plain.limit is None
+
+
+def test_a_plain_block_step_refuses_its_values_at_infinity():
+    # with no plus-sum or limit, c_total and both values at infinity raise
+    # one ValueError that says why, not a TypeError on None
+    m = sample(example2x2.build_example(0.2).M0, MobiusGrid.build(256))
+    plain = rbvp.solve_step(m, [1, 0], np.zeros((1, 2)))
+    for read in (lambda: plain.c_total, plain.plus_at_infinity, plain.minus_at_infinity):
+        with pytest.raises(ValueError, match="plain free block, so it carries no plus-sum or limit"):
+            read()
 
 
 def test_solve_step_sums_modes_once_and_reads_a_closed_form_limit(monkeypatch):
